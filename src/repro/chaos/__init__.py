@@ -45,11 +45,10 @@ from repro.chaos.scorecard import (
     ControlPlaneMetrics,
     EpisodeOutcome,
     FabricMetrics,
+    NodeResponse,
     ScenarioScorecard,
-    score_controlplane_scenario,
     score_fabric_scenario,
-    score_pipeline_scenario,
-    score_recovery_scenario,
+    score_node_faults,
 )
 from repro.chaos.workload import SyntheticFeed
 
@@ -64,6 +63,7 @@ __all__ = [
     "FabricEvent",
     "FabricPlan",
     "FabricMetrics",
+    "NodeResponse",
     "CampaignScorecard",
     "ScenarioScorecard",
     "SyntheticFeed",
@@ -85,8 +85,6 @@ __all__ = [
     "episodes_from_faults",
     "run_controlplane_scenario",
     "run_fabric_scenario",
-    "score_pipeline_scenario",
-    "score_recovery_scenario",
+    "score_node_faults",
     "score_fabric_scenario",
-    "score_controlplane_scenario",
 ]

@@ -5,15 +5,14 @@
 run against its injected ground truth.  Nothing in the execution path is
 mocked:
 
-* **PIPELINE** scenarios build a real cluster topology, a real central
-  collector fed through the (optionally lossy)
-  :class:`~repro.telemetry.unreliable.UnreliableChannel`, the real
-  debounced :class:`~repro.core.c4d.master.C4DMaster`, and the real
-  hardened :class:`~repro.core.c4d.steering.JobSteeringService`.  A
-  :class:`~repro.chaos.workload.SyntheticFeed` plays the monitored job;
-  the campaign closes the loop by tearing the incarnation down when
-  steering acts and relaunching on the survivors plus replacements at
-  ``ready_at``.
+* **PIPELINE** and **CONTROLPLANE** scenarios run the closed
+  detect → steer → relaunch loop of :mod:`repro.chaos.controlplane`: a
+  :class:`~repro.chaos.workload.SyntheticFeed` plays the monitored job
+  through the (optionally lossy) telemetry channel into a journaled
+  control plane holding the real debounced
+  :class:`~repro.core.c4d.master.C4DMaster` and hardened
+  :class:`~repro.core.c4d.steering.JobSteeringService`.  PIPELINE
+  scenarios run it calm; CONTROLPLANE scenarios attack the master too.
 * **RECOVERY** scenarios run the full
   :class:`~repro.training.recovery.RecoveryOrchestrator` on the 16-node
   testbed, with checkpoint corruption injected right before the crash so
@@ -28,25 +27,17 @@ from __future__ import annotations
 import logging
 from typing import Optional, Sequence
 
+from repro.chaos.controlplane import run_controlplane_scenario
 from repro.chaos.scenario import ChaosScenario, ScenarioKind, default_campaign
 from repro.chaos.scorecard import (
     DEFAULT_GRACE,
     CampaignScorecard,
+    NodeResponse,
     ScenarioScorecard,
-    score_pipeline_scenario,
-    score_recovery_scenario,
+    score_node_faults,
 )
-from repro.chaos.workload import SyntheticFeed
-from repro.cluster.specs import ClusterSpec
-from repro.cluster.topology import ClusterTopology
-from repro.core.c4d.master import C4DMaster
-from repro.core.c4d.steering import JobSteeringService
-from repro.netsim.network import FlowNetwork
 from repro.obs.report import ObservabilityPlane
 from repro.obs.trace import FaultTracer
-from repro.telemetry.agent import AgentPlane
-from repro.telemetry.collector import CentralCollector
-from repro.telemetry.unreliable import UnreliableChannel
 from repro.training.job import JobSpec
 from repro.training.memory_checkpoint import InMemoryCheckpointer
 from repro.training.models import GPT_22B
@@ -113,31 +104,9 @@ class ChaosCampaign:
         # and each has its own simulated clock, so victim matching must
         # never cross scenario boundaries.  The finished tracer is then
         # folded into the campaign-wide plane (metrics were shared all
-        # along through self.obs.registry).
+        # along through self.obs.registry).  Ground truth is registered
+        # here for every kind; fabric scenarios have no node episodes.
         tracer = FaultTracer(metrics=self.obs.registry, grace=self.grace)
-        if scenario.kind is ScenarioKind.RECOVERY:
-            card = self._run_recovery(scenario, tracer)
-        elif scenario.kind is ScenarioKind.FABRIC:
-            from repro.chaos.fabric import run_fabric_scenario
-
-            card = run_fabric_scenario(
-                scenario, metrics=self.obs.registry, tracer=tracer
-            )
-        elif scenario.kind is ScenarioKind.CONTROLPLANE:
-            from repro.chaos.controlplane import run_controlplane_scenario
-
-            card = run_controlplane_scenario(
-                scenario, metrics=self.obs.registry, tracer=tracer, grace=self.grace
-            )
-        else:
-            card = self._run_pipeline(scenario, tracer)
-        self.obs.tracer.absorb(tracer)
-        return card
-
-    def _register_episodes(
-        self, scenario: ChaosScenario, tracer: FaultTracer
-    ) -> None:
-        """Open one fault span per ground-truth episode."""
         for episode in scenario.episodes:
             tracer.register_fault(
                 f"{scenario.name}/{episode.episode_id}",
@@ -146,105 +115,20 @@ class ChaosCampaign:
                 injected_at=episode.onset,
                 windows=episode.windows,
             )
+        if scenario.kind is ScenarioKind.RECOVERY:
+            card = self._run_recovery(scenario, tracer)
+        elif scenario.kind is ScenarioKind.FABRIC:
+            from repro.chaos.fabric import run_fabric_scenario
 
-    # ------------------------------------------------------------------
-    # PIPELINE: synthetic feed -> lossy channel -> master -> steering
-    # ------------------------------------------------------------------
-    def _run_pipeline(
-        self, scenario: ChaosScenario, tracer: FaultTracer
-    ) -> ScenarioScorecard:
-        registry = self.obs.registry
-        network = FlowNetwork(metrics=registry)
-        spec = ClusterSpec(num_nodes=scenario.job_nodes + scenario.backup_nodes)
-        topology = ClusterTopology(spec, network, ecmp_seed=scenario.seed)
-        collector = CentralCollector(metrics=registry)
-        channel = (
-            UnreliableChannel(network, scenario.channel, seed=scenario.seed)
-            if scenario.channel is not None
-            else None
-        )
-        plane = AgentPlane(collector, network=network, channel=channel, metrics=registry)
-        backups = list(range(scenario.job_nodes, spec.num_nodes))
-        steering = JobSteeringService(
-            topology,
-            backup_nodes=backups,
-            config=scenario.steering,
-            faults=scenario.steering_faults,
-            metrics=registry,
-        )
-        master = C4DMaster(
-            collector, scenario.detector, steering=steering, metrics=registry,
-            tracer=tracer,
-        )
-        self._register_episodes(scenario, tracer)
-        feed = SyntheticFeed(
-            network,
-            plane,
-            nodes=range(scenario.job_nodes),
-            faults=scenario.faults,
-            step_seconds=scenario.step_seconds,
-            seed=scenario.seed,
-        )
-        feed.symptom_observer = tracer.observe_symptom
-
-        # Closing the loop: when steering acts, the current incarnation
-        # is torn down, its communicator deregistered (straggler records
-        # still in flight are discarded), and the job relaunches on the
-        # survivors plus replacements once the action completes.
-        state = {"nodes": list(feed.nodes), "token": 0, "seen": 0}
-
-        def handle_action(action) -> None:
-            removed = set(action.isolated_nodes)
-            state["nodes"] = [
-                n for n in state["nodes"] if n not in removed
-            ] + list(action.replacement_nodes)
-            old_comm = feed.comm_id
-            feed.halt()
-            collector.drop_communicator(old_comm)
-            state["token"] += 1
-            token = state["token"]
-
-            def relaunch() -> None:
-                # Superseded by a newer action's relaunch plan.
-                if token == state["token"] and state["nodes"]:
-                    feed.relaunch(state["nodes"])
-
-            # A hair past ready_at: steering latencies and the master's
-            # evaluation grid are both round numbers, so an exact-ready_at
-            # relaunch ties with an evaluation tick — whether the relaunch
-            # registration (and the feed grid it anchors) lands before or
-            # after that evaluation would then hinge on timer tie-breaking
-            # alone (a racecheck divergence).
-            network.schedule(max(0.0, action.ready_at - network.now) + 1e-3, relaunch)
-
-        def tick() -> None:
-            master.evaluate(network.now)
-            while state["seen"] < len(steering.actions):
-                handle_action(steering.actions[state["seen"]])
-                state["seen"] += 1
-            if network.now + scenario.evaluation_interval <= scenario.duration:
-                network.schedule(scenario.evaluation_interval, tick)
-
-        feed.start()
-        # The evaluation grid is phase-shifted off the feed's step grid
-        # (both are round numbers, so exact-interval ticks would share
-        # instants with step emission): whether an evaluation — and the
-        # steering halt it can trigger — lands before or after a
-        # same-instant step must not depend on timer tie-breaking.  The
-        # master evaluates a fraction of a step after each interval, as a
-        # control plane asynchronous to the data path would.
-        network.schedule(
-            scenario.evaluation_interval + 0.1 * scenario.step_seconds, tick
-        )
-        network.run(until=scenario.duration)
-        return score_pipeline_scenario(
-            scenario,
-            steering.actions,
-            channel_stats=channel.stats() if channel is not None else None,
-            steps_completed=feed.steps_completed,
-            relaunches=feed.relaunches,
-            grace=self.grace,
-        )
+            card = run_fabric_scenario(
+                scenario, metrics=self.obs.registry, tracer=tracer
+            )
+        else:
+            card = run_controlplane_scenario(
+                scenario, metrics=self.obs.registry, tracer=tracer, grace=self.grace
+            )
+        self.obs.tracer.absorb(tracer)
+        return card
 
     # ------------------------------------------------------------------
     # RECOVERY: crash -> detect -> isolate -> checkpoint fallback chain
@@ -252,7 +136,6 @@ class ChaosCampaign:
     def _run_recovery(
         self, scenario: ChaosScenario, tracer: FaultTracer
     ) -> ScenarioScorecard:
-        self._register_episodes(scenario, tracer)
         cluster = build_cluster(ecmp_seed=scenario.seed)
         scheduler = ClusterScheduler(cluster.topology, backup_ratio=1 / 16)
         checkpointer = InMemoryCheckpointer(
@@ -291,4 +174,12 @@ class ChaosCampaign:
             tracer.action(
                 event.detected_at, event.isolated_nodes, ready_at=event.resumed_at
             )
-        return score_recovery_scenario(scenario, report, grace=self.grace)
+        return score_node_faults(
+            scenario,
+            [NodeResponse.from_event(event) for event in report.events],
+            self.grace,
+            steps_completed=report.completed_steps,
+            relaunches=len(report.events),
+            restore_fallbacks=sum(e.restore_fallbacks for e in report.events),
+            completed=report.finished,
+        )

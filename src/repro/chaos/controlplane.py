@@ -1,15 +1,24 @@
-"""CONTROLPLANE chaos runner: faults aimed at the master itself.
+"""The closed-loop chaos runner: PIPELINE and CONTROLPLANE scenarios.
 
-The other scenario kinds assume an immortal control plane and attack
-the cluster; this runner attacks the control plane.  It drives the same
-synthetic feed and agent plane as the PIPELINE kind, but the collector /
-master / steering stack lives inside a journaled
-:class:`~repro.controlplane.c4d_plane.C4DControlPlane`, and the scenario
-plan schedules master kills, warm-standby promotions, collector
-partitions and agent massacres against it.
+Both kinds run the same loop.  A :class:`~repro.chaos.workload.SyntheticFeed`
+plays the monitored job through the agent plane — and through the
+scenario's lossy :class:`~repro.telemetry.unreliable.UnreliableChannel`
+when it has one — into a journaled
+:class:`~repro.controlplane.c4d_plane.C4DControlPlane` that owns the
+collector, the debounced C4D master and the hardened steering service.
+The master evaluates on a periodic tick; every steering action the plane
+physically executes tears the job incarnation down and relaunches it on
+the survivors plus replacements at ``ready_at``.
 
-Judgment is two-layered.  The pipeline layer is unchanged — actions
-versus injected ground truth.  The resilience layer checks the
+The scenario's :class:`~repro.chaos.scenario.ControlPlanePlan` decides
+what else happens.  A PIPELINE scenario has no plan and runs *calm*: no
+master kill, collector partition or agent massacre.  Nothing replays a
+calm run and nobody scores its journal, so it journals into a store that
+keeps nothing and takes no periodic snapshots.  A faulted plan schedules
+master kills, warm-standby promotions, collector partitions and agent
+massacres, keeps a real journal with periodic snapshots, and is judged
+on two layers.  The node-fault layer is the same as for PIPELINE runs —
+actions versus injected ground truth.  The resilience layer checks the
 invariants the journal/fencing/lease machinery exists for:
 
 * recovery replays the journal to a digest **bit-identical** to the one
@@ -19,7 +28,7 @@ invariants the journal/fencing/lease machinery exists for:
 * a fenced-out master executes nothing after its successor takes over;
 * telemetry blackouts produce **zero** false isolations — lease-derived
   coverage pushes the master into degraded mode instead;
-* post-recovery recall matches the fault-free baseline run.
+* post-recovery recall matches a calm baseline run of the same scenario.
 
 Every chaos timestamp sits off the feed/evaluation grids, so the
 schedule-perturbation racecheck can replay these scenarios without
@@ -31,13 +40,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.chaos.scenario import ChaosScenario, ControlPlanePlan
+from repro.chaos.scenario import ChaosScenario, ControlPlanePlan, ScenarioKind
 from repro.chaos.scorecard import (
     DEFAULT_GRACE,
     ControlPlaneMetrics,
+    NodeResponse,
     ScenarioScorecard,
-    _matching_episodes,
-    score_controlplane_scenario,
+    matching_episodes,
+    score_node_faults,
 )
 from repro.chaos.workload import SyntheticFeed
 from repro.cluster.specs import ClusterSpec
@@ -48,22 +58,43 @@ from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import FaultTracer
 from repro.telemetry.agent import AgentPlane
+from repro.telemetry.unreliable import UnreliableChannel
+
+
+class _UnkeptJournal(JournalStore):
+    """The journal of a calm run, which nothing replays: it keeps nothing."""
+
+    def append(self, kind: str, payload: dict, epoch: int) -> None:
+        return None
+
+    def snapshot(self, state: dict, epoch: int) -> None:
+        return None
 
 
 def _run(
     scenario: ChaosScenario,
-    plan: ControlPlanePlan,
     registry: MetricsRegistry,
     tracer: Optional[FaultTracer],
     grace: float,
-) -> dict:
-    """One full simulation; returns everything the scorer needs."""
+    baseline_recall: Optional[float] = None,
+) -> ScenarioScorecard:
+    """One full simulation of the closed loop, judged.
+
+    ``baseline_recall`` is the calm baseline's recall; only a faulted
+    plan uses it.
+    """
+    plan = scenario.controlplane or ControlPlanePlan()
     network = FlowNetwork(metrics=registry)
     spec = ClusterSpec(num_nodes=scenario.job_nodes + scenario.backup_nodes)
     topology = ClusterTopology(spec, network, ecmp_seed=scenario.seed)
     backups = list(range(scenario.job_nodes, spec.num_nodes))
-    store = JournalStore(metrics=registry)
+    store = (_UnkeptJournal if plan.calm else JournalStore)(metrics=registry)
     leases = LeaseTable(lease_seconds=plan.lease_seconds, metrics=registry)
+    channel = (
+        UnreliableChannel(network, scenario.channel, seed=scenario.seed)
+        if scenario.channel is not None
+        else None
+    )
 
     # Mutable run context: the current master incarnation plus the
     # resilience counters the scorecard reports.
@@ -78,7 +109,6 @@ def _run(
         "duplicates": 0,
         "blackout_false_isolations": 0,
         "coverage_min": 1.0,
-        "stale_planes": [],
         "token": 0,
         "seen_keys": {},
     }
@@ -90,10 +120,14 @@ def _run(
         if executed_at is not None and network.now - executed_at < plan.dedup_window:
             ctx["duplicates"] += 1
         ctx["seen_keys"][key] = network.now
-        if coverage < plan.degraded_coverage_threshold and not _matching_episodes(
-            action, scenario.episodes, grace
+        if coverage < plan.degraded_coverage_threshold and not matching_episodes(
+            NodeResponse.from_action(action), scenario.episodes, grace
         ):
             ctx["blackout_false_isolations"] += len(action.isolated_nodes)
+        # Closing the loop: the current incarnation is torn down, its
+        # communicator deregistered (straggler records still in flight
+        # are discarded), and the job relaunches on the survivors plus
+        # replacements once the action completes.
         removed = set(action.isolated_nodes)
         state["nodes"] = [n for n in state["nodes"] if n not in removed] + list(
             action.replacement_nodes
@@ -105,11 +139,15 @@ def _run(
         token = ctx["token"]
 
         def relaunch() -> None:
+            # Superseded by a newer action's relaunch plan.
             if token == ctx["token"] and state["nodes"]:
                 feed.relaunch(state["nodes"])
 
-        # A hair past ready_at, off the round-number grids (same
-        # rationale as the pipeline runner).
+        # A hair past ready_at: steering latencies and the evaluation
+        # grid are both round numbers, so an exact-ready_at relaunch
+        # would tie with an evaluation tick, and whether the relaunch
+        # (and the feed grid it anchors) lands before or after that
+        # evaluation would hinge on timer tie-breaking alone.
         network.schedule(max(0.0, action.ready_at - network.now) + 1e-3, relaunch)
 
     def build_plane(active: bool, standby: bool = False) -> C4DControlPlane:
@@ -137,7 +175,7 @@ def _run(
         planes.append(standby)
 
     agent_plane = AgentPlane(
-        ctx["plane"], network=network, leases=leases, metrics=registry
+        ctx["plane"], network=network, channel=channel, leases=leases, metrics=registry
     )
     state = {"nodes": list(range(scenario.job_nodes))}
     for node in state["nodes"]:
@@ -177,11 +215,17 @@ def _run(
         if network.now + plan.snapshot_interval <= scenario.duration:
             network.schedule(plan.snapshot_interval, snapshot_tick)
 
+    # The evaluation grid is phase-shifted a fraction of a step off the
+    # feed's step grid, as a control plane asynchronous to the data path
+    # would be: whether an evaluation (and the halt it can trigger)
+    # lands before or after a same-instant step must not depend on
+    # timer tie-breaking.
     network.schedule(
         scenario.evaluation_interval + 0.1 * scenario.step_seconds, evaluate_tick
     )
     network.schedule(plan.heartbeat_interval + 2.7, heartbeat_tick)
-    network.schedule(plan.snapshot_interval + 0.9, snapshot_tick)
+    if not plan.calm:
+        network.schedule(plan.snapshot_interval + 0.9, snapshot_tick)
 
     # ------------------------------------------------------------------
     # Scheduled control-plane faults
@@ -251,32 +295,54 @@ def _run(
     feed.start()
     network.run(until=scenario.duration)
 
-    final = ctx["plane"]
+    # The logical action history spans every master incarnation: replay
+    # reconstructs the pre-crash actions on the recovered master.
+    responses = [NodeResponse.from_action(a) for a in ctx["plane"].steering.actions]
+    fields = {
+        "channel": channel.stats() if channel is not None else {},
+        "steps_completed": feed.steps_completed,
+        "relaunches": feed.relaunches,
+    }
+    if plan.calm:
+        return score_node_faults(scenario, responses, grace, **fields)
     stale_executed = 0
     demoted = ctx.get("demoted")
     if demoted is not None:
         old_plane, executed_at_demotion = demoted
         stale_executed = len(old_plane.steering.executed_actions) - executed_at_demotion
-    return {
-        "actions": list(final.steering.actions),
-        "steps_completed": feed.steps_completed,
-        "relaunches": feed.relaunches,
-        "kills": ctx["kills"],
-        "recoveries": sum(p.recoveries for p in planes),
-        "failovers": sum(p.failovers for p in planes),
-        "replay_digest_match": ctx["replay_digest_match"],
-        "replay_digest": ctx["replay_digest"],
-        "entries_replayed": ctx["entries_replayed"],
-        "journal_entries": len(store.entries),
-        "snapshots": len(store.snapshots),
-        "recovery_seconds": ctx["recovery_seconds"],
-        "duplicate_actions": ctx["duplicates"],
-        "fencing_rejections": sum(p.stale_rejections for p in planes),
-        "stale_actions_executed": stale_executed,
-        "blackout_false_isolations": ctx["blackout_false_isolations"],
-        "coverage_min": ctx["coverage_min"],
-        "backfilled_records": agent_plane.backfilled_records,
-    }
+    resilience = ControlPlaneMetrics(
+        kills=ctx["kills"],
+        recoveries=sum(p.recoveries for p in planes),
+        failovers=sum(p.failovers for p in planes),
+        replay_digest_match=ctx["replay_digest_match"],
+        replay_digest=ctx["replay_digest"],
+        entries_replayed=ctx["entries_replayed"],
+        journal_entries=len(store.entries),
+        snapshots=len(store.snapshots),
+        recovery_seconds=ctx["recovery_seconds"],
+        duplicate_actions=ctx["duplicates"],
+        fencing_rejections=sum(p.stale_rejections for p in planes),
+        stale_actions_executed=stale_executed,
+        blackout_false_isolations=ctx["blackout_false_isolations"],
+        coverage_min=ctx["coverage_min"],
+        backfilled_records=agent_plane.backfilled_records,
+        baseline_recall=baseline_recall,
+    )
+    card = score_node_faults(
+        scenario, responses, grace, controlplane=resilience, **fields
+    )
+    # The scenario passes only when the resilience invariants hold and
+    # recall did not fall below the calm baseline.
+    return replace(
+        card,
+        completed=(
+            resilience.replay_digest_match
+            and resilience.duplicate_actions == 0
+            and resilience.stale_actions_executed == 0
+            and resilience.blackout_false_isolations == 0
+            and card.recall >= baseline_recall
+        ),
+    )
 
 
 def run_controlplane_scenario(
@@ -285,78 +351,29 @@ def run_controlplane_scenario(
     tracer: Optional[FaultTracer] = None,
     grace: float = DEFAULT_GRACE,
 ) -> ScenarioScorecard:
-    """Execute one CONTROLPLANE scenario and judge it.
+    """Execute one PIPELINE or CONTROLPLANE scenario and judge it.
 
-    The scenario runs twice: once with every control-plane fault
-    disabled (a private registry/tracer — the recall baseline), then
-    for real.  Both runs share seeds, so any recall the faulted run
-    loses is attributable to the control-plane faults alone.
+    A PIPELINE scenario runs its calm loop once.  A faulted plan runs
+    twice: first calm (a private registry, no tracer — the recall
+    baseline), then for real.  Both runs share seeds, so any recall the
+    faulted run loses is attributable to the control-plane faults alone.
     """
-    if scenario.controlplane is None:
-        raise ValueError(f"scenario {scenario.name} has no controlplane plan")
     plan = scenario.controlplane
+    if plan is None and scenario.kind is ScenarioKind.CONTROLPLANE:
+        raise ValueError(f"scenario {scenario.name} has no controlplane plan")
     registry = get_registry(metrics)
-
+    if plan is None or plan.calm:
+        return _run(scenario, registry, tracer, grace)
     calm_plan = ControlPlanePlan(
-        snapshot_interval=plan.snapshot_interval,
         heartbeat_interval=plan.heartbeat_interval,
         lease_seconds=plan.lease_seconds,
         degraded_coverage_threshold=plan.degraded_coverage_threshold,
         dedup_window=plan.dedup_window,
     )
     baseline = _run(
-        replace(scenario, controlplane=calm_plan),
-        calm_plan,
-        MetricsRegistry(),
-        None,
-        grace,
+        replace(scenario, controlplane=calm_plan), MetricsRegistry(), None, grace
     )
-    baseline_card = score_controlplane_scenario(
-        replace(scenario, controlplane=calm_plan),
-        baseline["actions"],
-        _resilience(baseline, baseline_recall=0.0),
-        grace=grace,
-    )
-
-    if tracer is not None:
-        for episode in scenario.episodes:
-            tracer.register_fault(
-                f"{scenario.name}/{episode.episode_id}",
-                kind=episode.kind,
-                victims=episode.nodes,
-                injected_at=episode.onset,
-                windows=episode.windows,
-            )
-    result = _run(scenario, plan, registry, tracer, grace)
-    return score_controlplane_scenario(
-        scenario,
-        result["actions"],
-        _resilience(result, baseline_recall=baseline_card.recall),
-        steps_completed=result["steps_completed"],
-        relaunches=result["relaunches"],
-        grace=grace,
-    )
-
-
-def _resilience(result: dict, baseline_recall: float) -> ControlPlaneMetrics:
-    return ControlPlaneMetrics(
-        kills=result["kills"],
-        recoveries=result["recoveries"],
-        failovers=result["failovers"],
-        replay_digest_match=result["replay_digest_match"],
-        replay_digest=result["replay_digest"],
-        entries_replayed=result["entries_replayed"],
-        journal_entries=result["journal_entries"],
-        snapshots=result["snapshots"],
-        recovery_seconds=result["recovery_seconds"],
-        duplicate_actions=result["duplicate_actions"],
-        fencing_rejections=result["fencing_rejections"],
-        stale_actions_executed=result["stale_actions_executed"],
-        blackout_false_isolations=result["blackout_false_isolations"],
-        coverage_min=result["coverage_min"],
-        backfilled_records=result["backfilled_records"],
-        baseline_recall=baseline_recall,
-    )
+    return _run(scenario, registry, tracer, grace, baseline_recall=baseline.recall)
 
 
 __all__ = ["run_controlplane_scenario"]

@@ -224,6 +224,10 @@ class ControlPlanePlan:
     snapshot_interval / heartbeat_interval / lease_seconds:
         Periodic-snapshot cadence, agent keep-alive cadence, and lease
         TTL.
+
+    A *calm* plan (no kill, partition or massacre) is how PIPELINE
+    scenarios, which carry no plan, and recall baselines run on the
+    same closed loop.
     """
 
     kill_at: Optional[float] = None
@@ -238,6 +242,15 @@ class ControlPlanePlan:
     lease_seconds: float = 30.0
     degraded_coverage_threshold: float = 0.6
     dedup_window: float = 900.0
+
+    @property
+    def calm(self) -> bool:
+        """True when the plan schedules no kill, partition or massacre."""
+        return (
+            self.kill_at is None
+            and self.partition is None
+            and self.massacre_window is None
+        )
 
 
 #: Detector hardening used by default in chaos runs: debounce over two

@@ -3,9 +3,11 @@
 The chaos harness knows exactly which faults it injected (the scenario's
 :class:`~repro.chaos.scenario.Episode` list) and observes exactly what
 the pipeline did (the steering service's actions, the recovery
-orchestrator's events).  The scorecard joins the two:
+orchestrator's events).  Both kinds of response are normalised into a
+:class:`NodeResponse` and one judge, :func:`score_node_faults`, joins
+them with the ground truth:
 
-* an action is **true** when at least one node it targeted belongs to an
+* an action is **true** when at least one node it accused belongs to an
   episode active at detection time (stretched by a grace window — a
   flapping window may close while the debounce is still counting);
 * an action is **false** otherwise, and each node it isolated counts as
@@ -21,12 +23,12 @@ orchestrator's events).  The scorecard joins the two:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.chaos.scenario import ChaosScenario, Episode
 from repro.core.c4d.steering import SteeringAction
-from repro.training.recovery import RecoveryReport
+from repro.training.recovery import RecoveryEvent
 
 #: Seconds past an episode window's end during which a detection still
 #: counts as true.  Debounce, evaluation cadence and telemetry latency
@@ -261,76 +263,115 @@ class CampaignScorecard:
         }
 
 
-def _action_targets(action: SteeringAction) -> set[int]:
-    """Every node an action accused: isolated, failed, or suspected."""
-    targets = set(action.isolated_nodes) | set(action.failed_isolations)
-    targets.update(n for n in action.anomaly.suspect_nodes)
-    return targets
+@dataclass(frozen=True)
+class NodeResponse:
+    """One response to a node fault, normalised for judging.
+
+    Steering actions (PIPELINE/CONTROLPLANE) and recovery events
+    (RECOVERY) both become this record, so one judge scores them.
+    """
+
+    detected_at: float
+    #: When the job was running again.
+    ready_at: float
+    #: Nodes the response blamed; matched against episode nodes.
+    accused: frozenset[int]
+    isolated: tuple[int, ...]
+    replacements: tuple[int, ...]
+    doa_replacements: tuple[int, ...]
+    pool_exhausted: bool
+
+    @classmethod
+    def from_action(cls, action: SteeringAction) -> "NodeResponse":
+        """A steering action accuses its isolated, failed and suspect nodes."""
+        return cls(
+            detected_at=action.anomaly.detected_at,
+            ready_at=action.ready_at,
+            accused=frozenset(action.isolated_nodes)
+            | frozenset(action.failed_isolations)
+            | frozenset(action.anomaly.suspect_nodes),
+            isolated=action.isolated_nodes,
+            replacements=action.replacement_nodes,
+            doa_replacements=action.doa_replacements,
+            pool_exhausted=action.pool_exhausted,
+        )
+
+    @classmethod
+    def from_event(cls, event: RecoveryEvent) -> "NodeResponse":
+        """A recovery event accuses only the nodes it isolated."""
+        return cls(
+            detected_at=event.detected_at,
+            ready_at=event.resumed_at,
+            accused=frozenset(event.isolated_nodes),
+            isolated=event.isolated_nodes,
+            replacements=event.replacement_nodes,
+            doa_replacements=event.doa_replacements,
+            pool_exhausted=event.pool_exhausted,
+        )
 
 
-def _matching_episodes(
-    action: SteeringAction, episodes: Sequence[Episode], grace: float
+def matching_episodes(
+    response: NodeResponse, episodes: Sequence[Episode], grace: float
 ) -> list[Episode]:
-    """Episodes an action correctly responded to."""
-    when = action.anomaly.detected_at
-    targets = _action_targets(action)
+    """Episodes a response correctly answered."""
     return [
         episode
         for episode in episodes
-        if episode.active_at(when, grace=grace)
-        and targets.intersection(episode.nodes)
+        if episode.active_at(response.detected_at, grace=grace)
+        and response.accused.intersection(episode.nodes)
     ]
 
 
-def score_pipeline_scenario(
+def score_node_faults(
     scenario: ChaosScenario,
-    actions: Sequence[SteeringAction],
-    channel_stats: Optional[dict] = None,
-    steps_completed: int = 0,
-    relaunches: int = 0,
+    responses: Sequence[NodeResponse],
     grace: float = DEFAULT_GRACE,
+    **fields,
 ) -> ScenarioScorecard:
-    """Judge one pipeline run's steering actions against ground truth."""
+    """Judge a run's node-fault responses against its ground truth.
+
+    ``fields`` fill the scorecard's remaining, kind-specific fields
+    (channel counters, workload progress, resilience metrics...).
+    """
     episodes = scenario.episodes
-    first_match: dict[str, SteeringAction] = {}
+    first_match: dict[str, NodeResponse] = {}
     isolations: dict[str, dict[int, int]] = {e.episode_id: {} for e in episodes}
     true_actions = 0
     false_actions = 0
     false_isolations = 0
     wasted = 0
     pool_exhaustions = 0
-    for action in actions:
-        pool_exhaustions += int(action.pool_exhausted)
-        wasted += len(action.doa_replacements)
-        matched = _matching_episodes(action, episodes, grace)
+    for response in responses:
+        pool_exhaustions += int(response.pool_exhausted)
+        wasted += len(response.doa_replacements)
+        matched = matching_episodes(response, episodes, grace)
         if matched:
             true_actions += 1
             for episode in matched:
-                first_match.setdefault(episode.episode_id, action)
+                first_match.setdefault(episode.episode_id, response)
                 counts = isolations[episode.episode_id]
-                for node in action.isolated_nodes:
+                for node in response.isolated:
                     if episode.covers_node(node):
                         counts[node] = counts.get(node, 0) + 1
         else:
             false_actions += 1
-            false_isolations += len(action.isolated_nodes)
-            wasted += len(action.replacement_nodes)
+            false_isolations += len(response.isolated)
+            wasted += len(response.replacements)
     outcomes = []
     for episode in episodes:
-        action = first_match.get(episode.episode_id)
+        response = first_match.get(episode.episode_id)
         outcomes.append(
             EpisodeOutcome(
                 episode_id=episode.episode_id,
                 kind=episode.kind,
                 nodes=episode.nodes,
                 onset=episode.onset,
-                detected=action is not None,
-                detected_at=action.anomaly.detected_at if action else None,
-                mttr_seconds=(action.ready_at - episode.onset) if action else None,
+                detected=response is not None,
+                detected_at=response.detected_at if response else None,
+                mttr_seconds=(response.ready_at - episode.onset) if response else None,
                 isolations_per_node=dict(isolations[episode.episode_id]),
             )
         )
-    storms = sum(len(o.storm_nodes) for o in outcomes)
     return ScenarioScorecard(
         name=scenario.name,
         seed=scenario.seed,
@@ -339,12 +380,10 @@ def score_pipeline_scenario(
         true_actions=true_actions,
         false_actions=false_actions,
         false_isolations=false_isolations,
-        isolation_storms=storms,
+        isolation_storms=sum(len(o.storm_nodes) for o in outcomes),
         wasted_backups=wasted,
         pool_exhaustions=pool_exhaustions,
-        channel=dict(channel_stats or {}),
-        steps_completed=steps_completed,
-        relaunches=relaunches,
+        **fields,
     )
 
 
@@ -376,115 +415,4 @@ def score_fabric_scenario(
             and metrics.plane_violations == 0
         ),
         fabric=metrics,
-    )
-
-
-def score_controlplane_scenario(
-    scenario: ChaosScenario,
-    actions: Sequence[SteeringAction],
-    resilience: ControlPlaneMetrics,
-    channel_stats: Optional[dict] = None,
-    steps_completed: int = 0,
-    relaunches: int = 0,
-    grace: float = DEFAULT_GRACE,
-) -> ScenarioScorecard:
-    """Judge one control-plane run: pipeline quality plus resilience.
-
-    The episode/action judgment reuses the pipeline scorer (the logical
-    action history spans every master incarnation — replay reconstructs
-    the pre-crash actions on the recovered master).  On top of it, the
-    scenario only passes (``completed``) when the resilience invariants
-    hold: the replayed digest matched, no action was executed twice, no
-    stale master executed anything, no blackout false isolation
-    happened, and recall did not fall below the fault-free baseline.
-    """
-    card = score_pipeline_scenario(
-        scenario,
-        actions,
-        channel_stats=channel_stats,
-        steps_completed=steps_completed,
-        relaunches=relaunches,
-        grace=grace,
-    )
-    completed = (
-        resilience.replay_digest_match
-        and resilience.duplicate_actions == 0
-        and resilience.stale_actions_executed == 0
-        and resilience.blackout_false_isolations == 0
-        and card.recall >= resilience.baseline_recall
-    )
-    return replace(card, completed=completed, controlplane=resilience)
-
-
-def score_recovery_scenario(
-    scenario: ChaosScenario,
-    report: RecoveryReport,
-    grace: float = DEFAULT_GRACE,
-) -> ScenarioScorecard:
-    """Judge one recovery run's events against ground truth."""
-    episodes = scenario.episodes
-    first_match: dict[str, tuple[float, float]] = {}  # id -> (detected, resumed)
-    isolations: dict[str, dict[int, int]] = {e.episode_id: {} for e in episodes}
-    true_actions = 0
-    false_actions = 0
-    false_isolations = 0
-    wasted = 0
-    pool_exhaustions = 0
-    restore_fallbacks = 0
-    for event in report.events:
-        pool_exhaustions += int(event.pool_exhausted)
-        wasted += len(event.doa_replacements)
-        restore_fallbacks += event.restore_fallbacks
-        targets = set(event.isolated_nodes)
-        matched = [
-            episode
-            for episode in episodes
-            if episode.active_at(event.detected_at, grace=grace)
-            and targets.intersection(episode.nodes)
-        ]
-        if matched:
-            true_actions += 1
-            for episode in matched:
-                first_match.setdefault(
-                    episode.episode_id, (event.detected_at, event.resumed_at)
-                )
-                counts = isolations[episode.episode_id]
-                for node in event.isolated_nodes:
-                    if episode.covers_node(node):
-                        counts[node] = counts.get(node, 0) + 1
-        else:
-            false_actions += 1
-            false_isolations += len(event.isolated_nodes)
-            wasted += len(event.replacement_nodes)
-    outcomes = []
-    for episode in episodes:
-        match = first_match.get(episode.episode_id)
-        outcomes.append(
-            EpisodeOutcome(
-                episode_id=episode.episode_id,
-                kind=episode.kind,
-                nodes=episode.nodes,
-                onset=episode.onset,
-                detected=match is not None,
-                detected_at=match[0] if match else None,
-                mttr_seconds=(match[1] - episode.onset) if match else None,
-                isolations_per_node=dict(isolations[episode.episode_id]),
-            )
-        )
-    storms = sum(len(o.storm_nodes) for o in outcomes)
-    return ScenarioScorecard(
-        name=scenario.name,
-        seed=scenario.seed,
-        kind=scenario.kind.value,
-        episodes=tuple(outcomes),
-        true_actions=true_actions,
-        false_actions=false_actions,
-        false_isolations=false_isolations,
-        isolation_storms=storms,
-        wasted_backups=wasted,
-        pool_exhaustions=pool_exhaustions,
-        steps_completed=report.completed_steps,
-        relaunches=len(report.events),
-        restore_fallbacks=restore_fallbacks,
-        completed=report.finished,
     )

@@ -123,11 +123,6 @@ class FaultEvent:
     cascade_id: Optional[int] = None
 
     @property
-    def user_view(self) -> str:
-        """What the job logs show for this fault."""
-        return USER_VIEW.get(self.fault_type, "NCCL Error")
-
-    @property
     def end_time(self) -> Optional[float]:
         """When a transient fault clears (None for permanent faults)."""
         if self.duration is None:
@@ -383,22 +378,6 @@ class FaultInjector:
         """Kill one leaf→spine physical link (Fig. 12's induced failure)."""
         link_id = topology.leaf_up(rail, side, spine, port)
         topology.network.fail_link(link_id)
-        return FaultEvent(
-            time=topology.network.now,
-            fault_type=FaultType.LINK_FAILURE,
-            fault_class=FaultClass.DEGRADE,
-            is_local=False,
-            component=None,
-        )
-
-    def fail_spine(self, topology: ClusterTopology, rail: int, spine: int) -> FaultEvent:
-        """Take every fabric link of one spine down at once.
-
-        Models an unannounced spine maintenance or a spine switch dying —
-        the correlated-fabric analogue of :meth:`sample_cascades`.
-        """
-        for link_id in spine_fabric_links(topology.spec, rail, spine):
-            topology.network.fail_link(link_id)
         return FaultEvent(
             time=topology.network.now,
             fault_type=FaultType.LINK_FAILURE,

@@ -263,23 +263,6 @@ class C4DControlPlane:
         self.store.snapshot(self.state(), self.epoch)
         return True
 
-    def attach_snapshots(
-        self, network, interval: float, until: Optional[float] = None
-    ) -> None:
-        """Arm periodic snapshots on the simulation event loop.
-
-        The first snapshot fires at ``interval + 0.9`` — deliberately
-        off the evaluation/feed grids so perturbed-schedule replays
-        cannot reorder it against same-timestamp events.
-        """
-
-        def tick() -> None:
-            self.snapshot()
-            if until is None or network.now + interval <= until:
-                network.schedule(interval, tick)
-
-        network.schedule(interval + 0.9, tick)
-
     # ------------------------------------------------------------------
     # Recovery / failover
     # ------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.netsim.flows import Flow, FlowState
 from repro.netsim.links import Link, LinkState
 from repro.netsim.network import FlowNetwork
 from repro.netsim.routing import EcmpHasher
-from repro.netsim.trace import SimTracer, TraceEvent, TraceEventType
 from repro.netsim.units import GBPS, GIB, KIB, MBPS, MIB, bits_to_gbps, gbps_to_bits
 
 __all__ = [
@@ -35,9 +34,6 @@ __all__ = [
     "EcmpHasher",
     "CongestionModel",
     "CongestionConfig",
-    "SimTracer",
-    "TraceEvent",
-    "TraceEventType",
     "GBPS",
     "MBPS",
     "KIB",

@@ -52,9 +52,6 @@ class FlowNetwork:
         self.flows: dict[object, Flow] = {}
         self.completed_flows: list[Flow] = []
         self.congestion = congestion
-        #: Optional :class:`~repro.netsim.trace.SimTracer` receiving
-        #: flow/link lifecycle events.
-        self.tracer = None
         #: Called as ``reroute_handler(link, affected_flows)`` when a link
         #: fails.  The handler may call ``flow.reroute(...)`` to keep a
         #: flow alive; flows left stalled transfer nothing.
@@ -102,8 +99,6 @@ class FlowNetwork:
         """
         link = self.links[link_id]
         link.fail()
-        if self.tracer is not None:
-            self.tracer.link_changed(link_id, self.now, up=False)
         affected = [
             flow
             for flow in self.flows.values()
@@ -111,8 +106,6 @@ class FlowNetwork:
         ]
         for flow in affected:
             flow.state = FlowState.STALLED
-            if self.tracer is not None:
-                self.tracer.flow_stalled(flow, self.now, link_id)
         if self.reroute_handler is not None:
             self.reroute_handler(link, affected)
         return affected
@@ -120,8 +113,6 @@ class FlowNetwork:
     def restore_link(self, link_id: object) -> None:
         """Bring a previously failed link back up."""
         self.links[link_id].restore()
-        if self.tracer is not None:
-            self.tracer.link_changed(link_id, self.now, up=True)
 
     # ------------------------------------------------------------------
     # Flow management
@@ -137,8 +128,6 @@ class FlowNetwork:
         if any(not self.links[link_id].is_up for link_id in flow.path):
             flow.state = FlowState.STALLED
         self.flows[flow.flow_id] = flow
-        if self.tracer is not None:
-            self.tracer.flow_started(flow, self.now)
         self._ensure_cc_timer()
         return flow
 
@@ -291,8 +280,6 @@ class FlowNetwork:
             flow.remaining = 0.0
             del self.flows[flow.flow_id]
             self.completed_flows.append(flow)
-            if self.tracer is not None:
-                self.tracer.flow_completed(flow, self.now)
             if self.congestion is not None:
                 self.congestion.forget(flow)
         # Callbacks run after bookkeeping so they can add flows freely.

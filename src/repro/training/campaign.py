@@ -57,11 +57,6 @@ class CampaignResult:
         """The headline total-downtime statistic."""
         return self.components["Total"]
 
-    @property
-    def mean_crashes(self) -> float:
-        """Mean crash count per run."""
-        return sum(self.crash_counts) / len(self.crash_counts)
-
 
 def run_campaign(
     operations: OperationsModel,

@@ -17,10 +17,11 @@ from repro.chaos import (
     episodes_from_faults,
     flapping_scenario,
 )
-from repro.chaos.scorecard import score_pipeline_scenario
+from repro.chaos.scorecard import NodeResponse, score_node_faults
 from repro.cluster.faults import FaultClass, FaultEvent, FaultInjector, FaultType
 from repro.core.c4d.events import Anomaly, AnomalyType, Suspect, SuspectKind
 from repro.core.c4d.steering import SteeringAction
+from repro.training.recovery import RecoveryEvent
 
 
 # ----------------------------------------------------------------------
@@ -69,22 +70,49 @@ def test_episode_active_at_with_grace():
 
 
 # ----------------------------------------------------------------------
-# Scorecard arithmetic on hand-built actions
+# Scorecard arithmetic on hand-built responses
 # ----------------------------------------------------------------------
-def _action(nodes, detected_at, ready_at=None, replacements=()):
+def _action(nodes, detected_at, ready_at=None, replacements=(), suspects=None):
+    """A steering action suspecting ``suspects`` (default: ``nodes``)."""
     return SteeringAction(
         anomaly=Anomaly(
             anomaly_type=AnomalyType.NONCOMM_SLOW,
             comm_id="c",
             detected_at=detected_at,
             suspects=tuple(
-                Suspect(kind=SuspectKind.WORKER, node=n, device=0) for n in nodes
+                Suspect(kind=SuspectKind.WORKER, node=n, device=0)
+                for n in (nodes if suspects is None else suspects)
             ),
         ),
         isolated_nodes=tuple(nodes),
         replacement_nodes=tuple(replacements),
         ready_at=ready_at if ready_at is not None else detected_at + 180.0,
     )
+
+
+def _event(nodes, detected_at, ready_at=None, replacements=()):
+    """A recovery event shaped like :func:`_action`."""
+    return RecoveryEvent(
+        crash_time=detected_at,
+        detected_at=detected_at,
+        isolated_nodes=tuple(nodes),
+        replacement_nodes=tuple(replacements),
+        resumed_at=ready_at if ready_at is not None else detected_at + 180.0,
+        restored_step=0,
+        lost_steps=0,
+    )
+
+
+def _as_action(*args, **kwargs) -> NodeResponse:
+    return NodeResponse.from_action(_action(*args, **kwargs))
+
+
+def _as_event(*args, **kwargs) -> NodeResponse:
+    return NodeResponse.from_event(_event(*args, **kwargs))
+
+
+#: Every scorer case runs once per response kind: one judge scores both.
+RESPONSE_KINDS = (_as_action, _as_event)
 
 
 def _scenario_with_one_episode():
@@ -104,40 +132,54 @@ def _scenario_with_one_episode():
 
 def test_score_matches_true_action_and_mttr():
     scenario = _scenario_with_one_episode()
-    card = score_pipeline_scenario(scenario, [_action([3], detected_at=150.0)])
-    assert card.precision == 1.0 and card.recall == 1.0
-    assert card.false_isolations == 0 and card.isolation_storms == 0
-    assert card.mttr_values == (230.0,)  # ready 330 - onset 100
+    for respond in RESPONSE_KINDS:
+        card = score_node_faults(scenario, [respond([3], detected_at=150.0)])
+        assert card.precision == 1.0 and card.recall == 1.0
+        assert card.false_isolations == 0 and card.isolation_storms == 0
+        assert card.mttr_values == (230.0,)  # ready 330 - onset 100
 
 
 def test_score_flags_false_action_and_wasted_backup():
     scenario = _scenario_with_one_episode()
-    card = score_pipeline_scenario(
-        scenario,
-        [_action([7], detected_at=150.0, replacements=[9])],  # wrong node
-    )
-    assert card.precision == 0.0
-    assert card.recall == 0.0
-    assert card.false_isolations == 1
-    assert card.wasted_backups == 1  # the replacement cured nothing
+    for respond in RESPONSE_KINDS:
+        card = score_node_faults(
+            scenario,
+            [respond([7], detected_at=150.0, replacements=[9])],  # wrong node
+        )
+        assert card.precision == 0.0
+        assert card.recall == 0.0
+        assert card.false_isolations == 1
+        assert card.wasted_backups == 1  # the replacement cured nothing
 
 
 def test_score_counts_isolation_storm():
     scenario = _scenario_with_one_episode()
-    actions = [
-        _action([3], detected_at=150.0),
-        _action([3], detected_at=200.0),  # same node, same episode, again
-    ]
-    card = score_pipeline_scenario(scenario, actions)
-    assert card.precision == 1.0  # both actions targeted a real fault...
-    assert card.isolation_storms == 1  # ...but the second is a storm
+    for respond in RESPONSE_KINDS:
+        responses = [
+            respond([3], detected_at=150.0),
+            respond([3], detected_at=200.0),  # same node, same episode, again
+        ]
+        card = score_node_faults(scenario, responses)
+        assert card.precision == 1.0  # both responses targeted a real fault...
+        assert card.isolation_storms == 1  # ...but the second is a storm
 
 
 def test_score_respects_grace_window():
     scenario = _scenario_with_one_episode()
-    late = _action([3], detected_at=320.0)  # window closed at 300
-    assert score_pipeline_scenario(scenario, [late], grace=100.0).precision == 1.0
-    assert score_pipeline_scenario(scenario, [late], grace=10.0).precision == 0.0
+    for respond in RESPONSE_KINDS:
+        late = [respond([3], detected_at=320.0)]  # window closed at 300
+        assert score_node_faults(scenario, late, grace=100.0).precision == 1.0
+        assert score_node_faults(scenario, late, grace=10.0).precision == 0.0
+
+
+def test_score_suspect_accuses_for_actions_not_events():
+    # A steering action accuses its suspects even when it isolated none
+    # of them; a recovery event accuses only the nodes it isolated.
+    scenario = _scenario_with_one_episode()
+    action = score_node_faults(scenario, [_as_action([], 150.0, suspects=[3])])
+    assert action.true_actions == 1 and action.recall == 1.0
+    event = score_node_faults(scenario, [_as_event([], 150.0)])
+    assert event.false_actions == 1 and event.recall == 0.0
 
 
 # ----------------------------------------------------------------------

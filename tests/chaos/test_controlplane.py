@@ -1,8 +1,11 @@
 """End-to-end tests for the control-plane chaos scenarios."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
+    ControlPlanePlan,
     agent_massacre_scenario,
     collector_partition_scenario,
     failover_scenario,
@@ -67,6 +70,30 @@ def test_agent_massacre_recovers_coverage():
     assert card.completed
 
 
+def _journal_counts(registry):
+    entries = registry.counter("controlplane_journal_entries_total", labels=("kind",))
+    snapshots = registry.counter("controlplane_snapshots_total")
+    return sum(child.value for _, child in entries.series()), snapshots.value
+
+
+def test_calm_plan_is_unjournaled():
+    # A calm plan (no kill, partition or massacre) is never replayed,
+    # so it keeps no journal entries and takes no snapshots...
+    registry = MetricsRegistry()
+    calm = replace(collector_partition_scenario(seed=0), controlplane=ControlPlanePlan())
+    card = run_controlplane_scenario(calm, metrics=registry)
+    assert card.controlplane is None
+    assert _journal_counts(registry) == (0, 0)
+    # ...while a faulted plan journals for real and snapshots periodically.
+    registry = MetricsRegistry()
+    card = run_controlplane_scenario(collector_partition_scenario(seed=0), metrics=registry)
+    assert card.controlplane.journal_entries > 0
+    assert card.controlplane.snapshots > 0
+    entries, snapshots = _journal_counts(registry)
+    assert entries == card.controlplane.journal_entries
+    assert snapshots == card.controlplane.snapshots
+
+
 def test_default_campaign_includes_controlplane_scenarios():
     scenarios = default_campaign(0)
     kinds = [s.kind for s in scenarios]
@@ -81,8 +108,6 @@ def test_default_campaign_includes_controlplane_scenarios():
 
 def test_scenario_without_plan_is_rejected():
     scenario = master_kill_scenario(seed=0)
-    from dataclasses import replace
-
     with pytest.raises(ValueError):
         run_controlplane_scenario(
             replace(scenario, controlplane=None), metrics=MetricsRegistry()

@@ -1,11 +1,13 @@
 """The journaled, fenced, recoverable C4D control plane.
 
 Wraps the detection stack (central collector + C4D master + steering)
-behind a single write path:
+behind the shared :class:`~repro.controlplane.journal.JournaledMaster`
+write path:
 
-* every record ingestion is journaled **write-ahead** — the entry hits
-  the :class:`~repro.controlplane.journal.JournalStore` before the
-  collector mutates;
+* every record ingestion (and communicator drop) is journaled
+  **write-ahead** and then handed to the collector by the same
+  :meth:`C4DControlPlane._apply` that replay runs — live with the
+  caller's record, on replay with the record decoded from the entry;
 * every evaluation pass is journaled **with its outcomes** (executed
   steering actions, the coverage/blind-node inputs), because the
   physical side effects — node isolations — must never be re-executed
@@ -24,7 +26,6 @@ checks.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Optional
 
 from repro.cluster.topology import ClusterTopology
@@ -34,7 +35,7 @@ from repro.collective.monitoring import (
     OpLaunchRecord,
     OpRecord,
 )
-from repro.controlplane.journal import FencedOut, JournalStore, state_digest
+from repro.controlplane.journal import FencedOut, JournaledMaster, JournalStore
 from repro.controlplane.lease import LeaseTable
 from repro.core.c4d.detectors import DetectorConfig
 from repro.core.c4d.master import C4DMaster
@@ -47,8 +48,16 @@ from repro.core.c4d.steering import (
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.telemetry.collector import CentralCollector
 
+#: Journal kind -> record type of the write-ahead ingestion entries.
+_RECORD_TYPES = {
+    "communicator": CommunicatorRecord,
+    "launch": OpLaunchRecord,
+    "op": OpRecord,
+    "message": MessageRecord,
+}
 
-class C4DControlPlane:
+
+class C4DControlPlane(JournaledMaster):
     """Crash-recoverable owner of the collector, master and steering.
 
     Parameters
@@ -92,9 +101,9 @@ class C4DControlPlane:
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
+        super().__init__(store, active, metrics)
         self.topology = topology
         self.backup_nodes = list(backup_nodes)
-        self.store = store if store is not None else JournalStore(metrics=metrics)
         self.leases = leases if leases is not None else LeaseTable(metrics=metrics)
         self._detector_config = detector_config
         self._steering_config = steering_config
@@ -107,36 +116,13 @@ class C4DControlPlane:
         self.action_listener = action_listener
         self._metrics = metrics
         self.tracer = tracer
-        self.epoch = 0
-        self.active = False
         #: Built as a warm standby — its promotion counts as a failover.
         self._standby = standby and not active
-        #: Writes this instance attempted while fenced out.
-        self.stale_rejections = 0
-        self.entries_replayed = 0
-        self.replay_seconds = 0.0
-        self.recoveries = 0
         self.failovers = 0
-        registry = get_registry(metrics)
-        self._m_recoveries = registry.counter(
-            "controlplane_recoveries_total",
-            "Journal-replay recoveries completed by a control plane",
-        )
-        self._m_failovers = registry.counter(
+        self._m_failovers = get_registry(metrics).counter(
             "controlplane_failovers_total", "Warm-standby promotions completed"
         )
-        self._m_replayed = registry.counter(
-            "controlplane_replayed_entries_total",
-            "Journal entries replayed during recoveries",
-        )
-        self._m_replay_seconds = registry.histogram(
-            "controlplane_replay_seconds", "Wall-clock time of one journal replay"
-        )
         self._build()
-        if active:
-            self.epoch = self.store.open_epoch()
-            self.master.epoch = self.epoch
-            self.active = True
 
     def _build(self) -> None:
         """(Re)construct the collector/steering/master stack."""
@@ -163,55 +149,26 @@ class C4DControlPlane:
         self.master.epoch = self.epoch
 
     # ------------------------------------------------------------------
-    # Fencing
-    # ------------------------------------------------------------------
-    def _guard(self) -> bool:
-        """True when this plane still holds writership; demote otherwise."""
-        if self.active and self.epoch == self.store.epoch:
-            return True
-        self.active = False
-        self.store.record_fence()
-        self.stale_rejections += 1
-        return False
-
-    # ------------------------------------------------------------------
     # Ingestion (duck-types the CentralCollector API, so agents can
     # point straight at the plane)
     # ------------------------------------------------------------------
     def ingest_communicator(self, record: CommunicatorRecord, now: float = 0.0) -> None:
-        if not self._guard():
-            return
-        self.store.append(
-            "communicator", {"record": record.to_payload(), "now": now}, self.epoch
-        )
-        self.collector.ingest_communicator(record, now=now)
+        self._command("communicator", {"record": record.to_payload(), "now": now}, record)
 
     def ingest_launch(self, record: OpLaunchRecord) -> None:
-        if not self._guard():
-            return
-        self.store.append("launch", {"record": record.to_payload()}, self.epoch)
-        self.collector.ingest_launch(record)
+        self._command("launch", {"record": record.to_payload()}, record)
 
     def ingest_op(self, record: OpRecord) -> None:
-        if not self._guard():
-            return
-        self.store.append("op", {"record": record.to_payload()}, self.epoch)
-        self.collector.ingest_op(record)
+        self._command("op", {"record": record.to_payload()}, record)
 
     def ingest_message(self, record: MessageRecord) -> None:
-        if not self._guard():
-            return
-        self.store.append("message", {"record": record.to_payload()}, self.epoch)
-        self.collector.ingest_message(record)
+        self._command("message", {"record": record.to_payload()}, record)
 
     def drop_communicator(self, comm_id: str) -> None:
-        if not self._guard():
-            return
-        self.store.append("drop", {"comm_id": comm_id}, self.epoch)
-        self.collector.drop_communicator(comm_id)
+        self._command("drop", {"comm_id": comm_id})
 
     # ------------------------------------------------------------------
-    # Evaluation and snapshots
+    # Evaluation
     # ------------------------------------------------------------------
     def evaluate(self, now: float) -> list:
         """One master evaluation pass under the current lease coverage.
@@ -221,7 +178,7 @@ class C4DControlPlane:
         re-derives the pass deterministically without re-running the
         physical isolations.
         """
-        if not self._guard():
+        if not self._writable():
             return []
         coverage = self.leases.coverage(now)
         blind = self.leases.blind_nodes(now)
@@ -233,6 +190,7 @@ class C4DControlPlane:
             "evaluate",
             {
                 "now": now,
+                "epoch": self.epoch,
                 "coverage": coverage,
                 "blind": blind,
                 "actions": [a.to_payload() for a in new_actions],
@@ -244,6 +202,44 @@ class C4DControlPlane:
                 self.action_listener(action, coverage)
         return fresh
 
+    def _apply(self, kind: str, payload: dict, record=None) -> None:
+        if record is None and kind in _RECORD_TYPES:
+            record = _RECORD_TYPES[kind].from_payload(payload["record"])
+        if kind == "op":
+            self.collector.ingest_op(record)
+        elif kind == "message":
+            self.collector.ingest_message(record)
+        elif kind == "launch":
+            self.collector.ingest_launch(record)
+        elif kind == "communicator":
+            self.collector.ingest_communicator(record, now=payload["now"])
+        elif kind == "drop":
+            self.collector.drop_communicator(payload["comm_id"])
+        elif kind == "evaluate":
+            # Replay-only: the journaled actions stand in for execution
+            # and are booked under the epoch that executed them, and the
+            # tracer, RCA and C4P hooks stay detached — those detections
+            # were emitted before the crash.
+            master = self.master
+            self.steering.begin_replay(
+                [SteeringAction.from_payload(p) for p in payload["actions"]]
+            )
+            master.tracer = master.rca = master.c4p = None
+            master.epoch = payload["epoch"]
+            try:
+                master.evaluate(
+                    payload["now"], coverage=payload["coverage"], blind_nodes=payload["blind"]
+                )
+            finally:
+                self.steering.end_replay()
+                master.tracer, master.rca, master.c4p = self.tracer, self.rca, self.c4p
+                master.epoch = self.epoch
+        else:
+            raise ValueError(f"unknown journal entry kind {kind!r}")
+
+    # ------------------------------------------------------------------
+    # State and recovery / failover
+    # ------------------------------------------------------------------
     def state(self) -> dict:
         """Full serialized state of the managed components."""
         return {
@@ -252,20 +248,14 @@ class C4DControlPlane:
             "steering": self.steering.snapshot_state(),
         }
 
-    def state_digest(self) -> str:
-        """Canonical digest of :meth:`state` (epoch excluded by design)."""
-        return state_digest(self.state())
+    def _restore(self, state: Optional[dict]) -> None:
+        # Fresh components at the new epoch, whatever this instance held.
+        self._build()
+        if state is not None:
+            self.collector.restore_state(state["collector"])
+            self.master.restore_state(state["master"])
+            self.steering.restore_state(state["steering"])
 
-    def snapshot(self) -> bool:
-        """Record a full-state snapshot; False when fenced out."""
-        if not self._guard():
-            return False
-        self.store.snapshot(self.state(), self.epoch)
-        return True
-
-    # ------------------------------------------------------------------
-    # Recovery / failover
-    # ------------------------------------------------------------------
     def recover(self, now: float = 0.0) -> dict:
         """Claim writership and rebuild state from the shared store.
 
@@ -275,79 +265,12 @@ class C4DControlPlane:
         snapshot, replay the journal suffix with physical side effects
         suppressed, then start accepting writes.
         """
-        was_standby = self._standby
-        self._standby = False
-        # Wall clock here is observability-only: it times the replay
-        # itself for the recovery scorecard and never feeds simulated
-        # time or any verdict.
-        started = time.perf_counter()  # repro: noqa[SIM001]
-        self.epoch = self.store.open_epoch()
-        self._build()
-        seq = 0
-        snap = self.store.latest_snapshot()
-        if snap is not None:
-            self.collector.restore_state(snap.state["collector"])
-            self.master.restore_state(snap.state["master"])
-            self.steering.restore_state(snap.state["steering"])
-            seq = snap.seq
-        entries = self.store.entries_after(seq)
-        # Replay must not re-emit detections to the tracer, re-submit to
-        # RCA, or re-strike C4P links — those all happened pre-crash.
-        self.master.tracer = None
-        self.master.rca = None
-        self.master.c4p = None
-        try:
-            for entry in entries:
-                self._replay_entry(entry)
-        finally:
-            self.master.tracer = self.tracer
-            self.master.rca = self.rca
-            self.master.c4p = self.c4p
-        self.master.epoch = self.epoch
-        self.entries_replayed += len(entries)
-        self.replay_seconds = time.perf_counter() - started  # repro: noqa[SIM001]
-        self.recoveries += 1
-        self._m_recoveries.inc()
-        self._m_replayed.inc(len(entries))
-        self._m_replay_seconds.observe(self.replay_seconds)
+        was_standby, self._standby = self._standby, False
+        result = self._replay()
         if was_standby:
             self.failovers += 1
             self._m_failovers.inc()
-        self.active = True
-        return {
-            "epoch": self.epoch,
-            "entries_replayed": len(entries),
-            "digest": self.state_digest(),
-        }
-
-    def _replay_entry(self, entry) -> None:
-        kind = entry.kind
-        payload = entry.payload
-        if kind == "communicator":
-            self.collector.ingest_communicator(
-                CommunicatorRecord.from_payload(payload["record"]), now=payload["now"]
-            )
-        elif kind == "launch":
-            self.collector.ingest_launch(OpLaunchRecord.from_payload(payload["record"]))
-        elif kind == "op":
-            self.collector.ingest_op(OpRecord.from_payload(payload["record"]))
-        elif kind == "message":
-            self.collector.ingest_message(MessageRecord.from_payload(payload["record"]))
-        elif kind == "drop":
-            self.collector.drop_communicator(payload["comm_id"])
-        elif kind == "evaluate":
-            actions = [SteeringAction.from_payload(p) for p in payload["actions"]]
-            self.steering.begin_replay(actions)
-            try:
-                self.master.evaluate(
-                    payload["now"],
-                    coverage=payload["coverage"],
-                    blind_nodes=payload["blind"],
-                )
-            finally:
-                self.steering.end_replay()
-        else:
-            raise ValueError(f"unknown journal entry kind {kind!r}")
+        return result
 
 
 __all__ = ["C4DControlPlane", "FencedOut"]

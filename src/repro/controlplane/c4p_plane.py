@@ -1,35 +1,38 @@
 """The journaled, fenced, recoverable C4P traffic-engineering master.
 
 :class:`ResilientC4PMaster` subclasses the plain
-:class:`~repro.core.c4p.master.C4PMaster` and journals every mutating
-entry point — allocations (with their assigned QP numbers, so recovered
-allocations keep their identities), releases, out-of-band link
-failures, C4D connection-anomaly strikes, and maintenance passes (with
-their probe outcomes, so replay never touches the live fabric).
+:class:`~repro.core.c4p.master.C4PMaster` and writes every mutating
+entry point through the shared :class:`~repro.controlplane.journal.JournaledMaster`
+protocol.  Allocations (with their pre-drawn QP numbers, so recovered
+allocations keep their identities), releases, out-of-band link failures
+and C4D connection-anomaly strikes are journaled write-ahead and then
+executed by the same :meth:`ResilientC4PMaster._apply` that replay runs.
+Maintenance passes execute first and journal their probe outcomes, so
+replay never touches the live fabric.
 
-Compound operations journal **one** entry: a maintenance pass that
-internally quarantines-and-drains journals only the pass plus its probe
-outcomes, because replaying the pass re-derives the nested quarantines
-deterministically.  Epoch fencing raises :class:`FencedOut` from a
-stale master's mutating calls — a zombie C4P master can neither
-allocate paths nor trigger migrations after a takeover.
+Compound operations journal **one** entry per cause: the quarantines
+nested in a maintenance pass or a strike-out go through
+:meth:`C4PMaster._fail_link`, never the journaled
+:meth:`notify_link_failure`, and replaying the cause re-derives them.
+Epoch fencing raises :class:`FencedOut` from a stale master's mutating
+calls — a zombie C4P master can neither allocate paths nor trigger
+migrations after a takeover.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from repro.cluster.topology import ClusterTopology
 from repro.collective.selectors import PathRequest, QpAllocation
-from repro.controlplane.journal import FencedOut, JournalStore
-from repro.controlplane.journal import state_digest as _digest
+from repro.controlplane.journal import FencedOut, JournaledMaster, JournalStore
 from repro.core.c4p import master as c4p_master
 from repro.core.c4p.master import C4PMaster, DrainReport, MaintenanceReport
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry
 
 
-class ResilientC4PMaster(C4PMaster):
+class ResilientC4PMaster(JournaledMaster, C4PMaster):
     """C4P master with a write-ahead journal and epoch fencing.
 
     Parameters mirror :class:`C4PMaster`, plus:
@@ -52,111 +55,51 @@ class ResilientC4PMaster(C4PMaster):
         metrics: Optional[MetricsRegistry] = None,
         **kwargs,
     ) -> None:
-        self.store = store if store is not None else JournalStore(metrics=metrics)
-        self.epoch = 0
-        self.active = False
-        self.stale_rejections = 0
-        self.entries_replayed = 0
-        self.replay_seconds = 0.0
-        self.recoveries = 0
-        self._replaying = False
-        self._suppress_journal = False
-        registry = get_registry(metrics)
-        self._m_recoveries = registry.counter(
-            "controlplane_recoveries_total",
-            "Journal-replay recoveries completed by a control plane",
-        )
-        self._m_replayed = registry.counter(
-            "controlplane_replayed_entries_total",
-            "Journal entries replayed during recoveries",
-        )
-        self._m_replay_seconds = registry.histogram(
-            "controlplane_replay_seconds", "Wall-clock time of one journal replay"
-        )
-        super().__init__(topology, metrics=metrics, **kwargs)
-        if active:
-            self.epoch = self.store.open_epoch()
-            self.active = True
+        JournaledMaster.__init__(self, store, active, metrics)
+        C4PMaster.__init__(self, topology, metrics=metrics, **kwargs)
 
-    # ------------------------------------------------------------------
-    # Fencing
-    # ------------------------------------------------------------------
-    def _check_writer(self) -> None:
-        if self.active and self.epoch == self.store.epoch:
-            return
-        self.active = False
-        self.store.record_fence()
-        self.stale_rejections += 1
+    state = C4PMaster.snapshot_state
+
+    def _restore(self, state: Optional[dict]) -> None:
+        if state is not None:
+            self.restore_state(state)
+
+    def _writable(self) -> bool:
+        if super()._writable():
+            return True
         raise FencedOut(
             f"c4p master epoch {self.epoch} is stale "
             f"(store is at epoch {self.store.epoch})"
         )
 
-    @property
-    def _bypass(self) -> bool:
-        """True when a call must not journal (replay or nested mutation)."""
-        return self._replaying or self._suppress_journal
-
     # ------------------------------------------------------------------
     # Journaled mutating entry points
     # ------------------------------------------------------------------
-    @staticmethod
-    def _request_payload(request: PathRequest) -> dict:
-        return {
-            "comm_id": request.comm_id,
-            "job_id": request.job_id,
-            "src_node": request.src_node,
-            "src_nic": request.src_nic,
-            "dst_node": request.dst_node,
-            "dst_nic": request.dst_nic,
-            "num_qps": request.num_qps,
-        }
-
     def allocate(self, request: PathRequest) -> list[QpAllocation]:
-        if self._bypass:
-            return super().allocate(request)
-        self._check_writer()
+        # Fence before drawing, so a zombie consumes no QP numbers.
+        self._writable()
         # Draw the QP numbers up front and journal them write-ahead:
-        # replay feeds the same numbers through the override queue, so
-        # recovered allocations keep their identities even though the
-        # global counter has moved on.
+        # _apply feeds them through the override queue, so recovered
+        # allocations keep their identities even though the global
+        # counter has moved on.
         qp_nums = [next(c4p_master._qp_counter) for _ in range(request.num_qps)]
-        self.store.append(
-            "allocate",
-            {"request": self._request_payload(request), "qp_nums": qp_nums},
-            self.epoch,
+        return self._command(
+            "allocate", {"request": asdict(request), "qp_nums": qp_nums}, request
         )
-        self._qp_num_override.extend(qp_nums)
-        try:
-            return super().allocate(request)
-        finally:
-            self._qp_num_override.clear()
 
     def release(
         self, request: PathRequest, allocations: Sequence[QpAllocation]
     ) -> None:
-        if self._bypass:
-            return super().release(request, allocations)
-        self._check_writer()
-        self.store.append(
-            "release", {"qp_nums": [a.qp_num for a in allocations]}, self.epoch
-        )
-        super().release(request, allocations)
+        self._command("release", {"qp_nums": [a.qp_num for a in allocations]})
 
     def notify_link_failure(
         self, link_id: tuple, now: Optional[float] = None, drain: bool = True
     ) -> DrainReport:
-        if self._bypass:
-            return super().notify_link_failure(link_id, now, drain)
-        self._check_writer()
         if now is None:
             now = self.topology.network.now
-        self.store.append(
-            "link_failure",
-            {"link": list(link_id), "now": now, "drain": drain},
-            self.epoch,
+        return self._command(
+            "link_failure", {"link": list(link_id), "now": now, "drain": drain}
         )
-        return super().notify_link_failure(link_id, now, drain)
 
     def notify_connection_anomaly(
         self,
@@ -164,39 +107,22 @@ class ResilientC4PMaster(C4PMaster):
         dst_worker: tuple[int, int],
         now: Optional[float] = None,
     ) -> tuple[tuple, ...]:
-        if self._bypass:
-            return super().notify_connection_anomaly(src_worker, dst_worker, now)
-        self._check_writer()
         if now is None:
             now = self.topology.network.now
-        self.store.append(
+        return self._command(
             "connection_anomaly",
             {"src": list(src_worker), "dst": list(dst_worker), "now": now},
-            self.epoch,
         )
-        # Nested quarantines are re-derived by replay; suppress their
-        # own journaling so the journal stays one-entry-per-cause.
-        self._suppress_journal = True
-        try:
-            return super().notify_connection_anomaly(src_worker, dst_worker, now)
-        finally:
-            self._suppress_journal = False
 
     def maintenance(
         self,
         now: Optional[float] = None,
         probe_results: Optional[dict[tuple, bool]] = None,
     ) -> MaintenanceReport:
-        if self._bypass:
-            return super().maintenance(now, probe_results)
-        self._check_writer()
+        self._writable()
         if now is None:
             now = self.topology.network.now
-        self._suppress_journal = True
-        try:
-            report = super().maintenance(now, probe_results)
-        finally:
-            self._suppress_journal = False
+        report = super().maintenance(now, probe_results)
         self.store.append(
             "maintenance",
             {
@@ -210,94 +136,43 @@ class ResilientC4PMaster(C4PMaster):
         )
         return report
 
-    # ------------------------------------------------------------------
-    # Snapshots, digests, recovery
-    # ------------------------------------------------------------------
-    def state_digest(self) -> str:
-        """Canonical digest of the full traffic-engineering state."""
-        return _digest(self.snapshot_state())
-
-    def snapshot(self) -> bool:
-        """Record a full-state snapshot; raises when fenced out."""
-        self._check_writer()
-        self.store.snapshot(self.snapshot_state(), self.epoch)
-        return True
-
-    def recover(self, now: float = 0.0) -> dict:
-        """Claim writership and rebuild state from the shared store."""
-        # Wall clock is observability-only: replay timing for the
-        # scorecard, never simulated time.
-        started = time.perf_counter()  # repro: noqa[SIM001]
-        self.epoch = self.store.open_epoch()
-        saved_listener = self.migration_listener
-        self.migration_listener = None
-        self._replaying = True
-        entries = []
-        try:
-            seq = 0
-            snap = self.store.latest_snapshot()
-            if snap is not None:
-                self.restore_state(snap.state)
-                seq = snap.seq
-            entries = self.store.entries_after(seq)
-            for entry in entries:
-                self._replay_entry(entry)
-        finally:
-            self._replaying = False
-            self.migration_listener = saved_listener
-        self.entries_replayed += len(entries)
-        self.replay_seconds = time.perf_counter() - started  # repro: noqa[SIM001]
-        self.recoveries += 1
-        self._m_recoveries.inc()
-        self._m_replayed.inc(len(entries))
-        self._m_replay_seconds.observe(self.replay_seconds)
-        self.active = True
-        return {
-            "epoch": self.epoch,
-            "entries_replayed": len(entries),
-            "digest": self.state_digest(),
-        }
-
-    def _release_qps(self, qp_nums: Sequence[int]) -> None:
-        for qp_num in qp_nums:
-            record = self._allocated.pop(qp_num, None)
-            if record is not None:
-                self._deindex(record)
-                self.registry.release(record.rail, record.alloc.choice)
-                self._m_releases.inc()
-
-    def _replay_entry(self, entry) -> None:
-        kind = entry.kind
-        payload = entry.payload
+    def _apply(self, kind: str, payload: dict, live: Optional[PathRequest] = None):
         if kind == "allocate":
             self._qp_num_override.extend(payload["qp_nums"])
             try:
-                super().allocate(PathRequest(**payload["request"]))
+                return super().allocate(live or PathRequest(**payload["request"]))
             except c4p_master.PathPoolExhausted:
-                # The live call failed the same way; partial state
-                # mutations are re-derived identically.
-                pass
+                if live is not None:
+                    raise
+                # Replay: the live call failed the same way, after the
+                # same partial mutations.
+                return []
             finally:
                 self._qp_num_override.clear()
-        elif kind == "release":
-            self._release_qps(payload["qp_nums"])
-        elif kind == "link_failure":
-            super().notify_link_failure(
-                tuple(payload["link"]), payload["now"], payload["drain"]
-            )
-        elif kind == "connection_anomaly":
-            super().notify_connection_anomaly(
+        if kind == "release":
+            qp_nums = [q for q in payload["qp_nums"] if q in self._allocated]
+            return super().release(None, [self._allocated[q].alloc for q in qp_nums])
+        if kind == "link_failure":
+            return self._fail_link(tuple(payload["link"]), payload["now"], payload["drain"])
+        if kind == "connection_anomaly":
+            return super().notify_connection_anomaly(
                 tuple(payload["src"]), tuple(payload["dst"]), payload["now"]
             )
-        elif kind == "maintenance":
-            super().maintenance(
-                payload["now"],
-                probe_results={
-                    tuple(link): healthy for link, healthy in payload["probes"]
-                },
-            )
-        else:
-            raise ValueError(f"unknown journal entry kind {kind!r}")
+        if kind == "maintenance":
+            probes = {tuple(link): healthy for link, healthy in payload["probes"]}
+            return super().maintenance(payload["now"], probe_results=probes)
+        raise ValueError(f"unknown journal entry kind {kind!r}")
+
+    # ------------------------------------------------------------------
+    # Recovery
+    # ------------------------------------------------------------------
+    def recover(self, now: float = 0.0) -> dict:
+        """Claim writership and rebuild state from the shared store."""
+        listener, self.migration_listener = self.migration_listener, None
+        try:
+            return self._replay()
+        finally:
+            self.migration_listener = listener
 
 
 __all__ = ["ResilientC4PMaster"]

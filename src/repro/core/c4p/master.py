@@ -229,6 +229,16 @@ class C4PMaster:
         """
         if now is None:
             now = self.topology.network.now
+        return self._fail_link(link_id, now, drain)
+
+    def _fail_link(self, link_id: tuple, now: float, drain: bool) -> DrainReport:
+        """Quarantine (and drain) a failed link.
+
+        Compound operations — a failed maintenance probe, a struck-out
+        link — quarantine through here rather than through the public
+        :meth:`notify_link_failure`, so a journaling subclass that
+        overrides the public entry point records one entry per cause.
+        """
         self.registry.mark_dead(link_id)
         self._m_quarantines.inc()
         self.health.record_failure(link_id, now)
@@ -305,7 +315,7 @@ class C4PMaster:
             if healthy:
                 continue
             newly_dead.append(link)
-            drains.append(self.notify_link_failure(link, now))
+            drains.append(self._fail_link(link, now, drain=True))
 
         dead = sorted(self.registry.dead_links)
         dead_results = probe(dead)
@@ -381,7 +391,7 @@ class C4PMaster:
             strikes = self._link_strikes.setdefault(link, set())
             strikes.add(conn_key)
             if len(strikes) >= self.link_strike_threshold:
-                self.notify_link_failure(link, now)
+                self._fail_link(link, now, drain=True)
                 self._link_strikes.pop(link, None)
                 quarantined.append(link)
         return tuple(quarantined)

@@ -1,4 +1,4 @@
-"""Tests for the journal store: write-ahead order, fencing, compaction."""
+"""Tests for the journal store: write-ahead order, fencing, snapshots."""
 
 import pytest
 
@@ -31,28 +31,19 @@ def test_stale_epoch_is_fenced():
     s.append("op", {}, s.epoch)
 
 
-def test_entries_after_uses_absolute_seq_across_compaction():
+def test_entries_after_snapshot_is_the_replay_suffix():
     s = store()
     epoch = s.open_epoch()
     for i in range(5):
         s.append("op", {"i": i}, epoch)
-    s.snapshot({"n": 5}, epoch)
+    snap = s.snapshot({"n": 5}, epoch)
+    assert snap.seq == 5
     for i in range(5, 8):
         s.append("op", {"i": i}, epoch)
-    assert s.compact() == 5
-    snap = s.latest_snapshot()
     assert [e.payload["i"] for e in s.entries_after(snap.seq)] == [5, 6, 7]
-    # Sequence numbers keep counting after compaction — replay positions
-    # stay stable even though the prefix storage is gone.
+    assert [e.seq for e in s.entries_after(snap.seq)] == [5, 6, 7]
+    # Sequence numbers keep counting past the snapshot.
     assert s.append("op", {"i": 8}, epoch).seq == 8
-
-
-def test_compact_without_snapshot_is_noop():
-    s = store()
-    epoch = s.open_epoch()
-    s.append("op", {}, epoch)
-    assert s.compact() == 0
-    assert len(s.entries) == 1
 
 
 def test_latest_snapshot_none_before_first():

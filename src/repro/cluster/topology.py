@@ -151,18 +151,22 @@ class ClusterTopology:
         if scale <= 0:
             raise ValueError("scale must be positive")
         nominal = self.spec.port_capacity
-        self.network.link(self.host_up(node, nic, side)).capacity = nominal * scale
-        self.network.link(self.host_down(node, nic, side)).capacity = nominal * scale
+        self.network.set_capacity(self.host_up(node, nic, side), nominal * scale)
+        self.network.set_capacity(self.host_down(node, nic, side), nominal * scale)
         port_side = PortSide.LEFT if side == 0 else PortSide.RIGHT
         self.nodes[node].nics[nic].ports[port_side].bandwidth_scale = scale
 
     def disable_spine(self, rail: int, spine: int) -> None:
-        """Administratively remove a spine from a rail (fails its links)."""
+        """Administratively remove a spine from a rail.
+
+        Its links fail through :meth:`FlowNetwork.fail_link`, so flows
+        crossing them stall and are offered to the reroute handler.
+        """
         self.disabled_spines[rail].add(spine)
         for side in (0, 1):
             for k in range(self.spec.uplink_ports_per_spine):
-                self.network.link(self.leaf_up(rail, side, spine, k)).fail()
-                self.network.link(self.spine_down(rail, spine, side, k)).fail()
+                self.network.fail_link(self.leaf_up(rail, side, spine, k))
+                self.network.fail_link(self.spine_down(rail, spine, side, k))
 
     def enabled_spines(self, rail: int) -> list[int]:
         """Spines currently in service on a rail."""

@@ -25,6 +25,7 @@ capacity is underutilized, which results in an absence of queue buildup".
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +116,7 @@ class CongestionModel:
         self,
         flows: list[Flow],
         rates: dict[object, float],
-        capacities: dict[object, float],
+        capacities: Mapping[object, float],
         dt: float,
     ) -> None:
         """Account CNPs for an interval of length ``dt``.
@@ -139,7 +140,12 @@ class CongestionModel:
             key = flow.metadata.get("cnp_key", flow.flow_id)
             self.cnp_counts[key] = self.cnp_counts.get(key, 0.0) + cnps
 
-    def tick(self, flows: list[Flow], rates: dict[object, float], capacities: dict[object, float]) -> None:
+    def tick(
+        self,
+        flows: list[Flow],
+        rates: dict[object, float],
+        capacities: Mapping[object, float],
+    ) -> None:
         """Update per-flow throttles once per ``tick_interval``."""
         saturated = self._saturated_links(flows, rates, capacities)
         congested_keys: dict[object, bool] = {}
@@ -171,7 +177,7 @@ class CongestionModel:
         self,
         flows: list[Flow],
         rates: dict[object, float],
-        capacities: dict[object, float],
+        capacities: Mapping[object, float],
     ) -> set[object]:
         link_load: dict[object, float] = {}
         for flow in flows:

@@ -11,13 +11,23 @@ Link failures are first-class: :meth:`FlowNetwork.fail_link` stalls the
 flows whose path crosses the dead link and hands them to an optional
 ``reroute_handler`` — the hook through which the routing layer (plain
 ECMP reconvergence, or C4P's dynamic load balancer) reacts.
+
+Per-step work is paid only for what changed.  Each loop step scans the
+flows once for the active set; the solver and the congestion model read
+capacities through a live view of the links instead of a copy; and the
+max-min solve is reused while its inputs are unchanged.  Flow inputs
+(id, weight, effective cap, path) are compared exactly on every step.
+Link inputs are not: links change only through :meth:`fail_link`,
+:meth:`restore_link` and :meth:`set_capacity`, which bump a change
+counter that the reuse check compares instead.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional
+from collections.abc import Mapping
+from typing import Callable, Iterator, Optional
 
 from repro.netsim.congestion import CongestionModel
 from repro.netsim.engine import EventQueue, TimerHandle
@@ -29,6 +39,24 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 #: Flows whose remaining share falls below this fraction of their size
 #: are complete (absorbs float residue from repeated rate changes).
 _COMPLETION_REL_EPS = 1e-9
+
+
+class _CapacityView(Mapping):
+    """Read-through ``link_id -> capacity`` view of a network's links."""
+
+    __slots__ = ("_links",)
+
+    def __init__(self, links: dict[object, Link]) -> None:
+        self._links = links
+
+    def __getitem__(self, link_id: object) -> float:
+        return self._links[link_id].capacity
+
+    def __iter__(self) -> Iterator[object]:
+        return iter(self._links)
+
+    def __len__(self) -> int:
+        return len(self._links)
 
 
 class FlowNetwork:
@@ -60,7 +88,24 @@ class FlowNetwork:
         self._cc_timer: Optional[TimerHandle] = None
         self._flow_seq = 0
         self._running = False
+        self._capacities = _CapacityView(self.links)
+        #: Ids of the links that are down, kept by fail_link/restore_link.
+        self._down: set[object] = set()
+        #: Bumped by every link change; part of the solve-reuse key.
+        self._link_version = 0
+        #: Active flows as of the last compute_rates(), reused by the
+        #: loop step that called it instead of scanning again.
+        self._step_active: list[Flow] = []
+        self._solve_key: Optional[tuple] = None
+        self._solve_rates: dict[object, float] = {}
         registry = get_registry(metrics)
+        solves = registry.counter(
+            "netsim_solves_total",
+            "Max-min solves by outcome (solved, or reused unchanged inputs)",
+            labels=("outcome",),
+        )
+        self._m_solved = solves.labels(outcome="solved")
+        self._m_reused = solves.labels(outcome="reused")
         registry.gauge(
             "netsim_event_queue_depth", "Timer heap entries (incl. cancelled)"
         ).set_function(self._queue.depth)
@@ -99,6 +144,8 @@ class FlowNetwork:
         """
         link = self.links[link_id]
         link.fail()
+        self._down.add(link_id)
+        self._link_version += 1
         affected = [
             flow
             for flow in self.flows.values()
@@ -113,6 +160,15 @@ class FlowNetwork:
     def restore_link(self, link_id: object) -> None:
         """Bring a previously failed link back up."""
         self.links[link_id].restore()
+        self._down.discard(link_id)
+        self._link_version += 1
+
+    def set_capacity(self, link_id: object, capacity: float) -> None:
+        """Change a link's capacity (e.g. a degraded NIC port)."""
+        if capacity <= 0:
+            raise ValueError(f"link {link_id!r} needs positive capacity, got {capacity}")
+        self.links[link_id].capacity = capacity
+        self._link_version += 1
 
     # ------------------------------------------------------------------
     # Flow management
@@ -125,7 +181,7 @@ class FlowNetwork:
             if link_id not in self.links:
                 raise KeyError(f"flow {flow.flow_id!r} references unknown link {link_id!r}")
         flow.start_time = self.now
-        if any(not self.links[link_id].is_up for link_id in flow.path):
+        if not self._down.isdisjoint(flow.path):
             flow.state = FlowState.STALLED
         self.flows[flow.flow_id] = flow
         self._ensure_cc_timer()
@@ -139,11 +195,12 @@ class FlowNetwork:
     @property
     def active_flows(self) -> list[Flow]:
         """Flows currently transferring (not stalled, not complete)."""
+        down = self._down
         return [
             flow
             for flow in self.flows.values()
-            if flow.state == FlowState.ACTIVE
-            and all(self.links[link_id].is_up for link_id in flow.path)
+            if flow.state is FlowState.ACTIVE
+            and (not down or down.isdisjoint(flow.path))
         ]
 
     # ------------------------------------------------------------------
@@ -193,7 +250,8 @@ class FlowNetwork:
         sim_start = self.now
         while True:
             rates = self.compute_rates()
-            next_completion = self._next_completion_time(rates)
+            active = self._step_active
+            next_completion = self._next_completion_time(rates, active)
             next_timer = self._queue.next_time()
             candidates = [t for t in (next_completion, next_timer) if t is not None]
             if until is not None:
@@ -201,14 +259,14 @@ class FlowNetwork:
             if not candidates:
                 break
             target = min(candidates)
-            self._advance(target - self.now, rates)
+            self._advance(target - self.now, rates, active)
             self.now = target
             self._fire_completions()
             for callback in self._queue.pop_due(self.now):
                 callback()
         if until is not None and self.now < until:
             rates = self.compute_rates()
-            self._advance(until - self.now, rates)
+            self._advance(until - self.now, rates, self._step_active)
             self.now = until
             self._fire_completions()
         self._m_sim_seconds.inc(self.now - sim_start)
@@ -216,9 +274,14 @@ class FlowNetwork:
         self._m_wall_seconds.inc(time.perf_counter() - wall_start)  # repro: noqa[SIM001]
 
     def compute_rates(self) -> dict[object, float]:
-        """Instantaneous max-min fair rates of the active flows."""
-        active = self.active_flows
-        capacities = {link_id: link.capacity for link_id, link in self.links.items()}
+        """Instantaneous max-min fair rates of the active flows.
+
+        The last solve is reused when the link change counter and every
+        active flow's ``(flow_id, weight, effective cap, path)``, in
+        order, equal the previous solve's.  The returned dict is the
+        caller's own copy.
+        """
+        active = self._step_active = self.active_flows
         overrides: dict[object, float] = {}
         if self.congestion is not None:
             for flow in active:
@@ -228,31 +291,44 @@ class FlowNetwork:
                     if base is None:
                         base = min(self.links[link_id].capacity for link_id in flow.path)
                     overrides[flow.flow_id] = throttle * base
-        rates = max_min_rates(active, capacities, cap_overrides=overrides)
+        flow_inputs = [
+            (f.flow_id, f.weight, overrides.get(f.flow_id, f.rate_cap), tuple(f.path))
+            for f in active
+        ]
+        key = (self._link_version, flow_inputs)
+        if key == self._solve_key:
+            rates = self._solve_rates
+            self._m_reused.inc()
+        else:
+            rates = max_min_rates(active, self._capacities, cap_overrides=overrides)
+            self._solve_key = key
+            self._solve_rates = rates
+            self._m_solved.inc()
         for flow in self.flows.values():
             flow.rate = rates.get(flow.flow_id, 0.0)
-        return rates
+        return dict(rates)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _next_completion_time(self, rates: dict[object, float]) -> Optional[float]:
+    def _next_completion_time(
+        self, rates: dict[object, float], active: list[Flow]
+    ) -> Optional[float]:
         best: Optional[float] = None
-        for flow in self.flows.values():
-            rate = rates.get(flow.flow_id, 0.0)
-            if flow.state != FlowState.ACTIVE or rate <= 0:
+        for flow in active:
+            rate = rates[flow.flow_id]
+            if rate <= 0:
                 continue
             eta = self.now + flow.remaining / rate
             if best is None or eta < best:
                 best = eta
         return best
 
-    def _advance(self, dt: float, rates: dict[object, float]) -> None:
+    def _advance(self, dt: float, rates: dict[object, float], active: list[Flow]) -> None:
         if dt < 0:
             raise AssertionError(f"negative dt {dt}")
         if dt == 0:
             return
-        active = self.active_flows
         for flow in active:
             rate = rates.get(flow.flow_id, 0.0)
             transferred = rate * dt
@@ -260,8 +336,7 @@ class FlowNetwork:
             for link_id in flow.path:
                 self.links[link_id].account(transferred)
         if self.congestion is not None:
-            capacities = {link_id: link.capacity for link_id, link in self.links.items()}
-            self.congestion.observe(active, rates, capacities, dt)
+            self.congestion.observe(active, rates, self._capacities, dt)
 
     def _fire_completions(self) -> None:
         finished = [
@@ -303,8 +378,7 @@ class FlowNetwork:
             self._cc_timer = None
             return
         rates = {flow.flow_id: flow.rate for flow in active}
-        capacities = {link_id: link.capacity for link_id, link in self.links.items()}
-        self.congestion.tick(active, rates, capacities)
+        self.congestion.tick(active, rates, self._capacities)
         interval = self.congestion.config.tick_interval
         self._cc_timer = self._queue.schedule(self.now + interval, self._cc_tick)
 
@@ -327,10 +401,17 @@ class FlowNetwork:
     def sanity_check(self) -> None:
         """Verify internal invariants; raises AssertionError on violation.
 
-        Checks that no link is oversubscribed by the current rate
-        allocation and that all flow bookkeeping is consistent.  Used by
-        property-based tests.
+        Checks that link state changed only through the network (the
+        contract the solve reuse relies on), that no link is
+        oversubscribed by the current rate allocation and that all flow
+        bookkeeping is consistent.  Used by property-based tests.
         """
+        down = {link_id for link_id, link in self.links.items() if not link.is_up}
+        if down != self._down:
+            raise AssertionError(
+                f"links {sorted(map(repr, down ^ self._down))} changed state "
+                "outside fail_link/restore_link"
+            )
         rates = self.compute_rates()
         load: dict[object, float] = {}
         for flow in self.active_flows:

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.cluster.specs import TESTBED_16_NODES
+from repro.cluster.topology import ClusterTopology
+from repro.netsim.congestion import CongestionConfig, CongestionModel
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.network import FlowNetwork
 from repro.netsim.units import GBPS
+from repro.obs.metrics import MetricsRegistry
+from tests.netsim.oracle import reference_rates
 
 
 def build_net(*links):
@@ -220,6 +225,8 @@ def test_weight_change_mid_flight_shifts_rates():
     net.schedule(1.0, boost)
     net.run(until=2.0)
     rates = net.compute_rates()
+    # The weight change invalidated the reused solve.
+    assert rates == reference_rates(net)
     assert rates["f1"] == pytest.approx(7.5 * GBPS)
     assert rates["f2"] == pytest.approx(2.5 * GBPS)
 
@@ -258,3 +265,93 @@ def test_run_rejects_reentrant_calls():
     # The guard resets: a fresh top-level run() works afterwards.
     network.schedule(1.0, lambda: None)
     network.run(until=5.0)
+
+
+# ----------------------------------------------------------------------
+# Solve reuse: every input source invalidates the reused solve
+# ----------------------------------------------------------------------
+def test_port_scale_mid_run_invalidates_reused_solve():
+    topo = ClusterTopology(TESTBED_16_NODES, FlowNetwork(metrics=MetricsRegistry()))
+    net = topo.network
+    port = topo.host_up(0, 0, 0)
+    nominal = net.link(port).capacity
+    net.add_flow(Flow(flow_id="f", path=[port], size=100 * nominal))
+    net.schedule(1.0, lambda: topo.set_port_scale(0, 0, 0, 0.5))
+    net.run(until=0.5)
+    assert net.compute_rates() == {"f": nominal}
+    net.run(until=2.0)
+    assert net.compute_rates() == reference_rates(net) == {"f": 0.5 * nominal}
+
+
+def test_dcqcn_throttle_change_invalidates_reused_solve():
+    model = CongestionModel(config=CongestionConfig(jitter=0.0), seed=0)
+    net = FlowNetwork(congestion=model, metrics=MetricsRegistry())
+    net.add_link("a", 10 * GBPS)
+    net.add_flow(Flow(flow_id="f", path=["a"], size=1000 * GBPS))
+    seen = []
+    for tick in range(1, 6):
+        net.run(until=tick * model.config.tick_interval + 0.001)
+        rates = net.compute_rates()
+        assert rates == reference_rates(net)
+        seen.append(rates["f"] / GBPS)
+    # Saturated, throttled by 6%; then unsaturated, recovering 2% a tick.
+    assert seen == pytest.approx([9.4, 9.6, 9.8, 10.0, 9.4])
+
+
+def test_rerouting_a_stalled_flow_invalidates_reused_solve():
+    net = build_net(("a", 10 * GBPS), ("b", 4 * GBPS))
+    flow = Flow(flow_id="f", path=["a"], size=100 * GBPS)
+    net.add_flow(flow)
+    net.schedule(1.0, lambda: net.fail_link("a"))
+    net.run(until=2.0)
+    assert flow.state is FlowState.STALLED
+    assert net.compute_rates() == {}
+    net.schedule(0.5, lambda: flow.reroute(["b"]))
+    net.run(until=3.0)
+    assert net.compute_rates() == reference_rates(net) == {"f": 4 * GBPS}
+
+
+def test_mutating_returned_rates_leaves_the_network_unchanged():
+    net = build_net(("a", 10 * GBPS))
+    net.add_flow(Flow(flow_id="f", path=["a"], size=100 * GBPS))
+    rates = net.compute_rates()
+    rates["f"] = 0.0
+    rates["ghost"] = 1.0
+    assert net.compute_rates() == reference_rates(net) == {"f": 10 * GBPS}
+    net.run(until=1.0)
+    assert net.flows["f"].remaining == pytest.approx(90 * GBPS)
+
+
+def test_solves_counted_by_outcome():
+    registry = MetricsRegistry()
+    net = FlowNetwork(metrics=registry)
+    net.add_link("a", 10 * GBPS)
+    flow = Flow(flow_id="f", path=["a"], size=100 * GBPS)
+    net.add_flow(flow)
+    family = registry.counter("netsim_solves_total", labels=("outcome",))
+
+    def counts():
+        return {labels["outcome"]: child.value for labels, child in family.series()}
+
+    # Both series exist from construction, before any solve.
+    assert counts() == {"solved": 0.0, "reused": 0.0}
+    net.compute_rates()
+    net.compute_rates()
+    flow.weight = 2.0
+    net.compute_rates()
+    net.set_capacity("a", 5 * GBPS)
+    net.compute_rates()
+    assert counts() == {"solved": 3.0, "reused": 1.0}
+
+
+def test_set_capacity_rejects_nonpositive():
+    net = build_net(("a", GBPS))
+    with pytest.raises(ValueError):
+        net.set_capacity("a", 0.0)
+
+
+def test_sanity_check_catches_link_state_changed_behind_the_network():
+    net = build_net(("a", GBPS))
+    net.link("a").fail()
+    with pytest.raises(AssertionError, match="outside fail_link/restore_link"):
+        net.sanity_check()

@@ -77,7 +77,8 @@ class CongestionModel:
     ``link_filter`` restricts congestion management to the links where
     DCQCN actually runs: it should return True for Ethernet fabric links
     and False for virtual stages such as NVLink (which is lossless and
-    credit-based, not ECN-marked).  The cluster layer wires this up.
+    credit-based, not ECN-marked).  The cluster layer wires this up.  It
+    must be a pure function of the link id: its verdict is cached per id.
     """
 
     config: CongestionConfig = field(default_factory=CongestionConfig)
@@ -90,11 +91,14 @@ class CongestionModel:
         #: sender port (flows carry it in ``metadata["cnp_key"]``).
         self.cnp_counts: dict[object, float] = {}
         self._throttle: dict[object, float] = {}
+        self._managed_ids: dict[object, bool] = {}  # link_filter verdicts
 
     def _managed(self, link_id: object) -> bool:
-        if self.link_filter is None:
-            return True
-        return bool(self.link_filter(link_id))
+        verdict = self._managed_ids.get(link_id)
+        if verdict is None:
+            verdict = self.link_filter is None or bool(self.link_filter(link_id))
+            self._managed_ids[link_id] = verdict
+        return verdict
 
     @staticmethod
     def _state_key(flow: Flow) -> object:

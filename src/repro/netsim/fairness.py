@@ -5,24 +5,29 @@ caps, compute the instantaneous rate of every flow.  This is the classic
 water-filling algorithm: repeatedly find the most constrained link
 (smallest capacity per unit of unfrozen weight), freeze every flow
 crossing it at its fair share, remove the consumed capacity, repeat.
+Rate caps are private virtual links, so the bandwidth a capped flow
+leaves is redistributed instead of clipped away.
 
-Rate caps are handled by giving each capped flow a private virtual link
-of that capacity, which integrates caps into the fixed point instead of
-clipping afterwards (clipping would fail to redistribute the freed
-bandwidth to other flows).
-
-The implementation is vectorized with numpy over a COO incidence list
-(flow, link); each filling iteration is O(links + touched incidences),
-which keeps 512-GPU collective operations (thousands of flows) fast.
+The filling is event-driven: per-flow rows of local link indices,
+per-link member lists and a lazy min-heap of ``(share, link)``; a round
+re-pushes only the links it touched.  It keeps the arithmetic order of
+a scan over every link per round, so rates match one to the bit: links
+numbered by first appearance (a cap link after its flow's path links),
+pending weight summed in that order, ties to the lowest index, frozen
+flows in ascending order, rates and weights subtracted per incidence
+before ``residual`` is clamped at 0, and a stop at a non-finite share.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.netsim.flows import Flow
+
+#: Links whose pending weight is at most this carry no unfrozen flow.
+_DEAD_WEIGHT = 1e-15
 
 
 def max_min_rates(
@@ -50,75 +55,69 @@ def max_min_rates(
     dict
         Mapping from ``flow.flow_id`` to allocated rate in bits/s.
     """
-    if not flows:
-        return {}
     overrides = cap_overrides or {}
 
-    num_flows = len(flows)
     link_index: dict[object, int] = {}
-    link_caps: list[float] = []
-    coo_flow: list[int] = []
-    coo_link: list[int] = []
-    weights = np.empty(num_flows)
+    residual: list[float] = []
+    pending: list[float] = []
+    members: list[list[int]] = []
+    rows: list[list[int]] = []
 
     for f_idx, flow in enumerate(flows):
-        weights[f_idx] = flow.weight
+        weight = float(flow.weight)
+        row: list[int] = []
         for link_id in flow.path:
             l_idx = link_index.get(link_id)
             if l_idx is None:
-                l_idx = len(link_caps)
-                link_index[link_id] = l_idx
-                link_caps.append(capacities[link_id])
-            coo_flow.append(f_idx)
-            coo_link.append(l_idx)
+                l_idx = link_index[link_id] = len(residual)
+                residual.append(float(capacities[link_id]))
+                pending.append(0.0)
+                members.append([])
+            pending[l_idx] += weight
+            members[l_idx].append(f_idx)
+            row.append(l_idx)
         cap = overrides.get(flow.flow_id, flow.rate_cap)
         if cap is not None:
-            l_idx = len(link_caps)
-            link_caps.append(float(cap))
-            coo_flow.append(f_idx)
-            coo_link.append(l_idx)
+            row.append(len(residual))
+            residual.append(float(cap))
+            pending.append(weight)
+            members.append([f_idx])
+        rows.append(row)
 
-    residual = np.array(link_caps)
-    num_links = len(link_caps)
-    coo_flow_arr = np.asarray(coo_flow, dtype=np.intp)
-    coo_link_arr = np.asarray(coo_link, dtype=np.intp)
+    share = [r / p for r, p in zip(residual, pending, strict=True)]
+    heap = [(s, l_idx) for l_idx, s in enumerate(share) if pending[l_idx] > _DEAD_WEIGHT]
+    heapq.heapify(heap)
+    rates = [0.0] * len(flows)
+    frozen = [False] * len(flows)
+    remaining = len(flows)
 
-    # Per-link member lists: sort incidences by link for cheap slicing.
-    order = np.argsort(coo_link_arr, kind="stable")
-    sorted_links = coo_link_arr[order]
-    sorted_flows = coo_flow_arr[order]
-    starts = np.searchsorted(sorted_links, np.arange(num_links), side="left")
-    ends = np.searchsorted(sorted_links, np.arange(num_links), side="right")
-
-    pending_weight = np.bincount(coo_link_arr, weights=weights[coo_flow_arr], minlength=num_links)
-    rates = np.zeros(num_flows)
-    frozen = np.zeros(num_flows, dtype=bool)
-    remaining = num_flows
-
-    while remaining > 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share = np.where(pending_weight > 1e-15, residual / pending_weight, np.inf)
-        bottleneck = int(np.argmin(share))
-        level = share[bottleneck]
-        if not np.isfinite(level):
-            break
-        members = sorted_flows[starts[bottleneck] : ends[bottleneck]]
-        newly = members[~frozen[members]]
-        if newly.size == 0:
-            pending_weight[bottleneck] = 0.0
+    while remaining > 0 and heap:
+        level, bottleneck = heapq.heappop(heap)
+        if pending[bottleneck] <= _DEAD_WEIGHT or level != share[bottleneck]:
             continue
-        rates[newly] = weights[newly] * level
-        frozen[newly] = True
-        remaining -= int(newly.size)
-        # Subtract the frozen flows' rates and weights from their links.
-        newly_set = np.zeros(num_flows, dtype=bool)
-        newly_set[newly] = True
-        touched_mask = newly_set[coo_flow_arr]
-        touched_links = coo_link_arr[touched_mask]
-        touched_flows = coo_flow_arr[touched_mask]
-        np.subtract.at(residual, touched_links, rates[touched_flows])
-        np.subtract.at(pending_weight, touched_links, weights[touched_flows])
-        np.maximum(residual, 0.0, out=residual)
-        pending_weight[bottleneck] = 0.0
+        if not math.isfinite(level):
+            break
+        newly = [f_idx for f_idx in members[bottleneck] if not frozen[f_idx]]
+        remaining -= len(newly)
+        touched: list[int] = []
+        for f_idx in newly:
+            if frozen[f_idx]:
+                continue  # listed twice: its path crosses the link twice
+            frozen[f_idx] = True
+            weight = float(flows[f_idx].weight)
+            rate = rates[f_idx] = weight * level
+            for l_idx in rows[f_idx]:
+                residual[l_idx] -= rate
+                pending[l_idx] -= weight
+                touched.append(l_idx)
+        pending[bottleneck] = 0.0
+        for l_idx in touched:
+            if residual[l_idx] < 0.0:
+                residual[l_idx] = 0.0
+            if pending[l_idx] > _DEAD_WEIGHT:
+                s = residual[l_idx] / pending[l_idx]
+                if s != share[l_idx]:
+                    share[l_idx] = s
+                    heapq.heappush(heap, (s, l_idx))
 
-    return {flow.flow_id: float(rates[f_idx]) for f_idx, flow in enumerate(flows)}
+    return {flow.flow_id: rates[f_idx] for f_idx, flow in enumerate(flows)}

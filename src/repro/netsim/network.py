@@ -14,7 +14,7 @@ ECMP reconvergence, or C4P's dynamic load balancer) reacts.
 
 Per-step work is paid only for what changed.  Each loop step scans the
 flows once for the active set; the solver and the congestion model read
-capacities through a live view of the links instead of a copy; and the
+capacities from one dict kept in step with the links; and the
 max-min solve is reused while its inputs are unchanged.  Flow inputs
 (id, weight, effective cap, path) are compared exactly on every step.
 Link inputs are not: links change only through :meth:`fail_link`,
@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Mapping
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.netsim.congestion import CongestionModel
 from repro.netsim.engine import EventQueue, TimerHandle
@@ -39,24 +38,6 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 #: Flows whose remaining share falls below this fraction of their size
 #: are complete (absorbs float residue from repeated rate changes).
 _COMPLETION_REL_EPS = 1e-9
-
-
-class _CapacityView(Mapping):
-    """Read-through ``link_id -> capacity`` view of a network's links."""
-
-    __slots__ = ("_links",)
-
-    def __init__(self, links: dict[object, Link]) -> None:
-        self._links = links
-
-    def __getitem__(self, link_id: object) -> float:
-        return self._links[link_id].capacity
-
-    def __iter__(self) -> Iterator[object]:
-        return iter(self._links)
-
-    def __len__(self) -> int:
-        return len(self._links)
 
 
 class FlowNetwork:
@@ -88,7 +69,8 @@ class FlowNetwork:
         self._cc_timer: Optional[TimerHandle] = None
         self._flow_seq = 0
         self._running = False
-        self._capacities = _CapacityView(self.links)
+        #: ``link_id -> capacity``, kept by add_link/set_capacity.
+        self._capacities: dict[object, float] = {}
         #: Ids of the links that are down, kept by fail_link/restore_link.
         self._down: set[object] = set()
         #: Bumped by every link change; part of the solve-reuse key.
@@ -96,6 +78,8 @@ class FlowNetwork:
         #: Active flows as of the last compute_rates(), reused by the
         #: loop step that called it instead of scanning again.
         self._step_active: list[Flow] = []
+        #: flow_id -> (the path list a row was built from, its Links).
+        self._rows: dict[object, tuple[Sequence[object], list[Link]]] = {}
         self._solve_key: Optional[tuple] = None
         self._solve_rates: dict[object, float] = {}
         registry = get_registry(metrics)
@@ -131,6 +115,7 @@ class FlowNetwork:
             raise ValueError(f"duplicate link id {link_id!r}")
         link = Link(link_id=link_id, capacity=capacity, description=description)
         self.links[link_id] = link
+        self._capacities[link_id] = capacity
         return link
 
     def link(self, link_id: object) -> Link:
@@ -168,6 +153,7 @@ class FlowNetwork:
         if capacity <= 0:
             raise ValueError(f"link {link_id!r} needs positive capacity, got {capacity}")
         self.links[link_id].capacity = capacity
+        self._capacities[link_id] = capacity
         self._link_version += 1
 
     # ------------------------------------------------------------------
@@ -180,6 +166,7 @@ class FlowNetwork:
         for link_id in flow.path:
             if link_id not in self.links:
                 raise KeyError(f"flow {flow.flow_id!r} references unknown link {link_id!r}")
+        self._row(flow)
         flow.start_time = self.now
         if not self._down.isdisjoint(flow.path):
             flow.state = FlowState.STALLED
@@ -289,7 +276,7 @@ class FlowNetwork:
                 if throttle < 1.0:
                     base = flow.rate_cap
                     if base is None:
-                        base = min(self.links[link_id].capacity for link_id in flow.path)
+                        base = min(link.capacity for link in self._row(flow))
                     overrides[flow.flow_id] = throttle * base
         flow_inputs = [
             (f.flow_id, f.weight, overrides.get(f.flow_id, f.rate_cap), tuple(f.path))
@@ -311,6 +298,14 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _row(self, flow: Flow) -> list[Link]:
+        """``flow``'s links; paths are replaced (``reroute``), never edited."""
+        path, row = self._rows.get(flow.flow_id, (None, None))
+        if path is not flow.path:
+            row = [self.links[link_id] for link_id in flow.path]
+            self._rows[flow.flow_id] = (flow.path, row)
+        return row
+
     def _next_completion_time(
         self, rates: dict[object, float], active: list[Flow]
     ) -> Optional[float]:
@@ -333,8 +328,8 @@ class FlowNetwork:
             rate = rates.get(flow.flow_id, 0.0)
             transferred = rate * dt
             flow.remaining = max(0.0, flow.remaining - transferred)
-            for link_id in flow.path:
-                self.links[link_id].account(transferred)
+            for link in self._row(flow):
+                link.account(transferred)
         if self.congestion is not None:
             self.congestion.observe(active, rates, self._capacities, dt)
 
@@ -350,10 +345,11 @@ class FlowNetwork:
             flow.end_time = self.now
             # Credit the float residue so byte accounting is exact.
             if flow.remaining > 0:
-                for link_id in flow.path:
-                    self.links[link_id].account(flow.remaining)
+                for link in self._row(flow):
+                    link.account(flow.remaining)
             flow.remaining = 0.0
             del self.flows[flow.flow_id]
+            del self._rows[flow.flow_id]
             self.completed_flows.append(flow)
             if self.congestion is not None:
                 self.congestion.forget(flow)
@@ -412,17 +408,18 @@ class FlowNetwork:
                 f"links {sorted(map(repr, down ^ self._down))} changed state "
                 "outside fail_link/restore_link"
             )
+        resized = [i for i, link in self.links.items() if link.capacity != self._capacities[i]]
+        if resized:
+            raise AssertionError(f"links {resized!r} changed capacity outside set_capacity")
         rates = self.compute_rates()
         load: dict[object, float] = {}
         for flow in self.active_flows:
             for link_id in flow.path:
                 load[link_id] = load.get(link_id, 0.0) + rates.get(flow.flow_id, 0.0)
         for link_id, total in load.items():
-            capacity = self.links[link_id].capacity
+            capacity = self._capacities[link_id]
             if total > capacity * (1 + 1e-9) + 1e-6:
-                raise AssertionError(
-                    f"link {link_id!r} oversubscribed: {total} > {capacity}"
-                )
+                raise AssertionError(f"link {link_id!r} oversubscribed: {total} > {capacity}")
         for flow in self.flows.values():
             if flow.remaining < 0 or math.isnan(flow.remaining):
                 raise AssertionError(f"flow {flow.flow_id!r} has bad remaining {flow.remaining}")

@@ -60,6 +60,22 @@ def test_link_filter_excludes_links():
     assert model.throttle_of(flows[0]) == 1.0
 
 
+def test_link_filter_runs_once_per_link():
+    seen = []
+
+    def fabric_only(link_id):
+        seen.append(link_id)
+        return link_id != "nvl"
+
+    model = CongestionModel(link_filter=fabric_only)
+    flows = [_flow("f", ["nvl", "a"], cnp_key="p"), _flow("g", ["a"], cnp_key="q")]
+    for _ in range(3):
+        model.observe(flows, {"f": GBPS, "g": GBPS}, {"nvl": GBPS, "a": GBPS}, dt=1.0)
+        model.tick(flows, {"f": GBPS, "g": GBPS}, {"nvl": GBPS, "a": GBPS})
+    assert sorted(seen) == ["a", "nvl"]
+    assert set(model.cnp_counts) == {"p", "q"}
+
+
 def test_throttle_decreases_under_congestion():
     model = CongestionModel(seed=1)
     flows = [_flow("f1", ["a"]), _flow("f2", ["a"])]

@@ -1,9 +1,13 @@
 """Tests for the weighted max-min fair solver."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim.fairness import max_min_rates
 from repro.netsim.flows import Flow
+from tests.netsim.oracle import reference_max_min_rates
 
 
 def _flow(fid, path, weight=1.0, rate_cap=None):
@@ -112,3 +116,52 @@ def test_disjoint_links_independent():
     rates = max_min_rates(flows, {"a": 3.0, "b": 7.0})
     assert rates["f1"] == pytest.approx(3.0)
     assert rates["f2"] == pytest.approx(7.0)
+
+
+def test_tied_bottlenecks_sharing_a_flow():
+    # a and b both fill at share 2: f2 crosses both and freezes once.
+    flows = [_flow("f1", ["a"]), _flow("f2", ["a", "b"]), _flow("f3", ["b"]), _flow("f4", ["c"])]
+    caps = {"a": 4.0, "b": 4.0, "c": 10.0}
+    rates = max_min_rates(flows, caps)
+    assert rates == reference_max_min_rates(flows, caps)
+    assert rates == {"f1": 2.0, "f2": 2.0, "f3": 2.0, "f4": 10.0}
+
+
+def test_flow_on_an_infinite_link_gets_no_rate():
+    flows = [_flow("f1", ["inf"]), _flow("f2", ["a"])]
+    caps = {"inf": math.inf, "a": 3.0}
+    rates = max_min_rates(flows, caps)
+    assert rates == reference_max_min_rates(flows, caps)
+    assert rates == {"f1": 0.0, "f2": 3.0}
+
+
+@st.composite
+def tie_heavy_instance(draw):
+    """Few distinct capacities and weights, shared links, caps and overrides.
+
+    Paths may cross a link twice: nothing in ``Flow`` forbids it.
+    """
+    values = draw(st.lists(st.sampled_from([2.0, 3.0, 6.0, 7.5]), min_size=2, max_size=3))
+    links = [f"l{i}" for i in range(draw(st.integers(min_value=1, max_value=6)))]
+    caps = {link: draw(st.sampled_from(values)) for link in links}
+    flows = []
+    for i in range(draw(st.integers(min_value=1, max_value=14))):
+        path = draw(st.lists(st.sampled_from(links), min_size=1, max_size=3))
+        weight = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        cap = draw(st.one_of(st.none(), st.sampled_from(values)))
+        flows.append(_flow(f"f{i}", path, weight=weight, rate_cap=cap))
+    overrides = draw(
+        st.dictionaries(
+            st.sampled_from([flow.flow_id for flow in flows]), st.sampled_from(values)
+        )
+    )
+    return flows, caps, overrides
+
+
+@given(tie_heavy_instance())
+@settings(max_examples=300, deadline=None)
+def test_rates_equal_the_reference_solver(instance):
+    flows, caps, overrides = instance
+    assert max_min_rates(flows, caps, overrides) == reference_max_min_rates(
+        flows, caps, overrides
+    )

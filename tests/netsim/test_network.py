@@ -355,3 +355,10 @@ def test_sanity_check_catches_link_state_changed_behind_the_network():
     net.link("a").fail()
     with pytest.raises(AssertionError, match="outside fail_link/restore_link"):
         net.sanity_check()
+
+
+def test_sanity_check_catches_capacity_changed_behind_the_network():
+    net = build_net(("a", GBPS))
+    net.link("a").capacity = 2 * GBPS
+    with pytest.raises(AssertionError, match="outside set_capacity"):
+        net.sanity_check()

@@ -1,12 +1,13 @@
 """Stateful differential test of FlowNetwork against the reference solver.
 
 A hypothesis state machine drives one network through random sequences
-of flow arrivals, link failures and restores, capacity changes,
-reroutes, weight changes and ``run(until)`` calls.  After every step the
-network's rates must equal a fresh :func:`max_min_rates` solve over the
-same active flows and capacities (so a reused solve is never stale), its
-own invariants must hold, and every bit a flow transferred must have
-been credited to every link it crossed at the time.
+of flow arrivals (now, or from a timer), timer cancellations, link
+failures and restores, capacity changes, reroutes, weight changes and
+``run(until)`` calls.  After every step the network's rates must equal a
+fresh reference solve over the same active flows and capacities (so a
+reused solve is never stale), its own invariants must hold, every bit a
+flow transferred must have been credited to every link it crossed at the
+time, and no cancelled timer may have fired.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.netsim.congestion import CongestionConfig, CongestionModel
+from repro.netsim.engine import TimerHandle
 from repro.netsim.flows import Flow, FlowState
 from repro.netsim.network import FlowNetwork
 from repro.obs.metrics import MetricsRegistry
@@ -26,6 +28,8 @@ LINKS = ["a", "b", "c", "d"]
 paths = st.lists(st.sampled_from(LINKS), min_size=1, max_size=3, unique=True)
 capacities = st.floats(min_value=1.0, max_value=20.0)
 weights = st.floats(min_value=0.25, max_value=4.0)
+sizes = st.floats(min_value=0.5, max_value=40.0)
+caps = st.one_of(st.none(), capacities)
 
 
 class FlowNetworkMachine(RuleBasedStateMachine):
@@ -44,22 +48,60 @@ class FlowNetworkMachine(RuleBasedStateMachine):
         #: from the flows' remaining bits before and after every run().
         self.link_bits = {link_id: 0.0 for link_id in LINKS}
         self.flow_bits: dict[object, float] = {}
+        #: Timers scheduled by ``schedule_flow``, and whether each was
+        #: cancelled and whether it fired.
+        self.timers: list[TimerHandle] = []
+        self.cancelled: list[bool] = []
+        self.fired: list[bool] = []
 
     def _pick(self, index: int) -> Flow:
         return self.flows[index % len(self.flows)]
 
-    @rule(
-        path=paths,
-        size=st.floats(min_value=0.5, max_value=40.0),
-        weight=weights,
-        rate_cap=st.one_of(st.none(), capacities),
-    )
-    def add_flow(self, path, size, weight, rate_cap):
+    def _add(self, path, size, weight, rate_cap) -> None:
         flow_id = self.net.new_flow_id()
         flow = Flow(flow_id=flow_id, path=path, size=size, weight=weight, rate_cap=rate_cap)
         self.net.add_flow(flow)
         self.flows.append(flow)
         self.flow_bits[flow.flow_id] = 0.0
+
+    @rule(path=paths, size=sizes, weight=weights, rate_cap=caps)
+    def add_flow(self, path, size, weight, rate_cap):
+        self._add(path, size, weight, rate_cap)
+
+    @rule(
+        delay=st.floats(min_value=0.0, max_value=5.0),
+        path=paths,
+        size=sizes,
+        weight=weights,
+        rate_cap=caps,
+    )
+    def schedule_flow(self, delay, path, size, weight, rate_cap):
+        index = len(self.timers)
+        self.cancelled.append(False)
+        self.fired.append(False)
+
+        def fire():
+            self.fired[index] = True
+            self._add(path, size, weight, rate_cap)
+
+        self.timers.append(self.net.schedule(delay, fire))
+
+    def _pending_timers(self) -> list[int]:
+        return [
+            index
+            for index, (cancelled, fired) in enumerate(
+                zip(self.cancelled, self.fired, strict=True)
+            )
+            if not cancelled and not fired
+        ]
+
+    @precondition(lambda self: self._pending_timers())
+    @rule(index=st.integers(min_value=0))
+    def cancel_timer(self, index):
+        pending = self._pending_timers()
+        timer = pending[index % len(pending)]
+        self.timers[timer].cancel()
+        self.cancelled[timer] = True
 
     @rule(link_id=st.sampled_from(LINKS))
     def fail_link(self, link_id):
@@ -90,7 +132,11 @@ class FlowNetworkMachine(RuleBasedStateMachine):
             flow.flow_id: (flow.remaining, list(flow.path))
             for flow in self.net.flows.values()
         }
+        known = len(self.flows)
         self.net.run(until=self.net.now + dt)
+        # Flows a timer added during the run started with all their bits.
+        for flow in self.flows[known:]:
+            before[flow.flow_id] = (flow.size, list(flow.path))
         for flow_id, (remaining, path) in before.items():
             flow = self.net.flows.get(flow_id)
             moved = remaining - (flow.remaining if flow is not None else 0.0)
@@ -101,6 +147,11 @@ class FlowNetworkMachine(RuleBasedStateMachine):
     @invariant()
     def rates_match_a_fresh_solve(self):
         assert self.net.compute_rates() == reference_rates(self.net)
+
+    @invariant()
+    def cancelled_timers_never_fire(self):
+        for cancelled, fired in zip(self.cancelled, self.fired, strict=True):
+            assert not (cancelled and fired)
 
     @invariant()
     def network_invariants_hold(self):

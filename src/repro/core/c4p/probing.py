@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.topology import ClusterTopology, PathChoice
-from repro.netsim.routing import FiveTuple
+from repro.netsim.routing import UDP
 
 #: RoCEv2 destination UDP port used in probe five-tuples.
 ROCE_DST_PORT = 4791
@@ -63,16 +63,21 @@ class PathProber:
         down_fanout = 2 * spec.uplink_ports_per_spine
         wanted_up = choice.spine * spec.uplink_ports_per_spine + choice.up_port
         wanted_down = choice.dst_side * spec.uplink_ports_per_spine + choice.down_port
-        hasher = self.topology.ecmp
+        # Each stage's prefix is hashed once; a candidate port adds only
+        # its tail (EcmpHasher.stage_hasher), so digests are hash_value's.
+        ecmp = self.topology.ecmp
+        up_stage = ecmp.stage_hasher(src_ip, dst_ip, f"up:{rail}:{choice.src_side}")
+        down_stage = ecmp.stage_hasher(src_ip, dst_ip, f"down:{rail}:{choice.spine}")
+        from_bytes = int.from_bytes
         for port in port_range:
-            five_tuple = FiveTuple(
-                src_ip=src_ip, dst_ip=dst_ip, src_port=port, dst_port=ROCE_DST_PORT
-            )
-            up = hasher.choose(five_tuple, up_fanout, stage=f"up:{rail}:{choice.src_side}")
-            if up != wanted_up:
+            tail = f"{port}|{ROCE_DST_PORT}|{UDP}".encode()
+            hasher = up_stage.copy()
+            hasher.update(tail)
+            if from_bytes(hasher.digest(), "little") % up_fanout != wanted_up:
                 continue
-            down = hasher.choose(five_tuple, down_fanout, stage=f"down:{rail}:{choice.spine}")
-            if down == wanted_down:
+            hasher = down_stage.copy()
+            hasher.update(tail)
+            if from_bytes(hasher.digest(), "little") % down_fanout == wanted_down:
                 return port
         raise LookupError(
             f"no source port in {port_range} steers onto {choice} (rail {rail})"

@@ -2,9 +2,10 @@
 
 A link is the unit of bandwidth contention.  Every hop a flow traverses
 (NIC port to leaf, leaf to spine, spine to leaf, leaf to NIC port, or an
-intra-node NVLink stage) is one :class:`Link`.  Links accumulate byte
-counters so experiments such as Fig. 13 of the paper (per-switch-port
-bandwidth) can be read directly off the simulator.
+intra-node NVLink stage) is one :class:`Link`.  Links accumulate a
+windowed bit counter, fed by the network once a sample window is open,
+so experiments such as Fig. 13 of the paper (per-switch-port bandwidth)
+can be read directly off the simulator.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class Link:
     capacity: float
     description: str = ""
     state: LinkState = LinkState.UP
-    bits_carried: float = field(default=0.0, init=False)
     #: Windowed counter, reset by :meth:`reset_window`.  Used to compute
     #: per-port bandwidth over a sampling interval (Fig. 13).
     window_bits: float = field(default=0.0, init=False)
@@ -61,8 +61,7 @@ class Link:
         self.state = LinkState.UP
 
     def account(self, bits: float) -> None:
-        """Accumulate ``bits`` of carried traffic into both counters."""
-        self.bits_carried += bits
+        """Accumulate ``bits`` of carried traffic into the window counter."""
         self.window_bits += bits
 
     def reset_window(self) -> None:

@@ -78,6 +78,9 @@ class FlowNetwork:
         #: Active flows as of the last compute_rates(), reused by the
         #: loop step that called it instead of scanning again.
         self._step_active: list[Flow] = []
+        #: Whether links count the bits they carry; off until the first
+        #: reset_link_windows(), the only reader of the counts.
+        self._accounting = False
         #: flow_id -> (the path list a row was built from, its Links).
         self._rows: dict[object, tuple[Sequence[object], list[Link]]] = {}
         self._solve_key: Optional[tuple] = None
@@ -324,12 +327,14 @@ class FlowNetwork:
             raise AssertionError(f"negative dt {dt}")
         if dt == 0:
             return
+        accounting = self._accounting
         for flow in active:
             rate = rates.get(flow.flow_id, 0.0)
             transferred = rate * dt
             flow.remaining = max(0.0, flow.remaining - transferred)
-            for link in self._row(flow):
-                link.account(transferred)
+            if accounting:
+                for link in self._row(flow):
+                    link.account(transferred)
         if self.congestion is not None:
             self.congestion.observe(active, rates, self._capacities, dt)
 
@@ -344,7 +349,7 @@ class FlowNetwork:
             flow.state = FlowState.COMPLETED
             flow.end_time = self.now
             # Credit the float residue so byte accounting is exact.
-            if flow.remaining > 0:
+            if flow.remaining > 0 and self._accounting:
                 for link in self._row(flow):
                     link.account(flow.remaining)
             flow.remaining = 0.0
@@ -379,7 +384,13 @@ class FlowNetwork:
         self._cc_timer = self._queue.schedule(self.now + interval, self._cc_tick)
 
     def reset_link_windows(self) -> None:
-        """Zero every link's windowed byte counter (start a sample window)."""
+        """Zero every link's windowed byte counter (start a sample window).
+
+        Links count carried bits only from the first call on: until a
+        window is open nothing reads the counts, so the per-link loop of
+        every step is skipped.
+        """
+        self._accounting = True
         for link in self.links.values():
             link.reset_window()
 

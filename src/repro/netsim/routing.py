@@ -17,6 +17,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+#: IP protocol number of UDP, which RoCEv2 rides on.
+UDP = 17
+
 
 @dataclass(frozen=True)
 class FiveTuple:
@@ -26,7 +29,7 @@ class FiveTuple:
     dst_ip: str
     src_port: int
     dst_port: int
-    protocol: int = 17  # UDP, as used by RoCEv2
+    protocol: int = UDP
 
 
 class EcmpHasher:
@@ -48,6 +51,19 @@ class EcmpHasher:
         """The fabric-wide hash salt."""
         return self._seed
 
+    def stage_hasher(self, src_ip: str, dst_ip: str, stage: str = "") -> hashlib.blake2b:
+        """A blake2b primed with the fixed prefix of one stage's payload.
+
+        The payload :meth:`hash_value` digests is this prefix,
+        ``f"{seed}|{stage}|{src_ip}|{dst_ip}|"``, followed by the tail
+        ``f"{src_port}|{dst_port}|{protocol}"``.  A search over source
+        ports ``copy()``-ies the primed hasher and ``update()``-s it with
+        each candidate's tail, so the prefix is hashed once per search
+        and every digest equals :meth:`hash_value`'s.
+        """
+        prefix = f"{self._seed}|{stage}|{src_ip}|{dst_ip}|".encode()
+        return hashlib.blake2b(prefix, digest_size=8)
+
     def hash_value(self, five_tuple: FiveTuple, stage: str = "") -> int:
         """Raw 64-bit hash of a five-tuple.
 
@@ -56,46 +72,14 @@ class EcmpHasher:
         switch; without this, the spine and leaf stages would always
         agree).
         """
-        payload = (
-            f"{self._seed}|{stage}|{five_tuple.src_ip}|{five_tuple.dst_ip}"
-            f"|{five_tuple.src_port}|{five_tuple.dst_port}|{five_tuple.protocol}"
-        ).encode()
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        return int.from_bytes(digest, "little")
+        hasher = self.stage_hasher(five_tuple.src_ip, five_tuple.dst_ip, stage)
+        hasher.update(
+            f"{five_tuple.src_port}|{five_tuple.dst_port}|{five_tuple.protocol}".encode()
+        )
+        return int.from_bytes(hasher.digest(), "little")
 
     def choose(self, five_tuple: FiveTuple, num_choices: int, stage: str = "") -> int:
         """Pick an index in ``[0, num_choices)`` for this flow at this stage."""
         if num_choices <= 0:
             raise ValueError("num_choices must be positive")
         return self.hash_value(five_tuple, stage) % num_choices
-
-    def find_port_for_choice(
-        self,
-        base: FiveTuple,
-        num_choices: int,
-        wanted: int,
-        stage: str = "",
-        port_range: range = range(49152, 65536),
-    ) -> int:
-        """Search for a UDP source port that hashes to ``wanted``.
-
-        This is the path-probing primitive of C4P: the master probes
-        source ports until it finds one that lands each stage's decision
-        on the desired next hop.  Raises ``LookupError`` if no port in
-        ``port_range`` works (practically impossible for sane fan-outs).
-        """
-        if not 0 <= wanted < num_choices:
-            raise ValueError(f"wanted index {wanted} out of range for {num_choices} choices")
-        for port in port_range:
-            candidate = FiveTuple(
-                src_ip=base.src_ip,
-                dst_ip=base.dst_ip,
-                src_port=port,
-                dst_port=base.dst_port,
-                protocol=base.protocol,
-            )
-            if self.choose(candidate, num_choices, stage) == wanted:
-                return port
-        raise LookupError(
-            f"no source port in {port_range} hashes to choice {wanted}/{num_choices}"
-        )

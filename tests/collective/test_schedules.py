@@ -174,13 +174,14 @@ def test_send_recv_is_one_directional():
     context = CollectiveContext(scenario.topology)
     comm = context.communicator(contiguous_ranks(range(2), 8))
     handle = context.run_send_recv(RankLocation(0, 0), RankLocation(1, 0), 1 * GIB, comm=comm)
+    scenario.network.reset_link_windows()
     scenario.network.run()
     # Only forward-direction host links carried traffic.
-    assert scenario.network.link(("hup", 0, 0, 0)).bits_carried > 0 or (
-        scenario.network.link(("hup", 0, 0, 1)).bits_carried > 0
+    assert scenario.network.link(("hup", 0, 0, 0)).window_bits > 0 or (
+        scenario.network.link(("hup", 0, 0, 1)).window_bits > 0
     )
-    assert scenario.network.link(("hup", 1, 0, 0)).bits_carried == 0
-    assert scenario.network.link(("hup", 1, 0, 1)).bits_carried == 0
+    assert scenario.network.link(("hup", 1, 0, 0)).window_bits == 0
+    assert scenario.network.link(("hup", 1, 0, 1)).window_bits == 0
     assert handle.done
 
 

@@ -43,6 +43,8 @@ class FlowNetworkMachine(RuleBasedStateMachine):
         self.net = FlowNetwork(congestion=model, metrics=MetricsRegistry())
         for link_id in LINKS:
             self.net.add_link(link_id, 10.0)
+        # Links count carried bits only inside an open window.
+        self.net.reset_link_windows()
         self.flows: list[Flow] = []
         #: Bits each link should have carried, and each flow transferred,
         #: from the flows' remaining bits before and after every run().
@@ -163,7 +165,7 @@ class FlowNetworkMachine(RuleBasedStateMachine):
             if flow.state is FlowState.COMPLETED:
                 assert self.flow_bits[flow.flow_id] == pytest.approx(flow.size, rel=1e-9)
         for link_id, expected in self.link_bits.items():
-            carried = self.net.links[link_id].bits_carried
+            carried = self.net.links[link_id].window_bits
             assert math.isclose(carried, expected, rel_tol=1e-9, abs_tol=1e-9)
 
 

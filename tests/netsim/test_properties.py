@@ -86,10 +86,11 @@ def test_network_conserves_bytes(sizes, capacity):
     ]
     for flow in flows:
         net.add_flow(flow)
+    net.reset_link_windows()
     net.run()
     total = sum(sizes)
-    assert net.link("l").bits_carried <= total * (1 + 1e-6)
-    assert net.link("l").bits_carried >= total * (1 - 1e-6)
+    assert net.link("l").window_bits <= total * (1 + 1e-6)
+    assert net.link("l").window_bits >= total * (1 - 1e-6)
     for flow in flows:
         assert flow.remaining == 0.0
         assert not math.isnan(flow.end_time)

@@ -1,6 +1,9 @@
 """Tests for deterministic ECMP hashing."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim.routing import EcmpHasher, FiveTuple
 
@@ -47,25 +50,35 @@ def test_distribution_roughly_uniform():
         assert abs(count - expected) < expected * 0.25
 
 
-def test_find_port_for_choice():
-    hasher = EcmpHasher(seed=2)
-    base = FiveTuple(src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=0, dst_port=4791)
-    for wanted in range(8):
-        port = hasher.find_port_for_choice(base, 8, wanted, stage="up")
-        ft = FiveTuple(src_ip=base.src_ip, dst_ip=base.dst_ip, src_port=port, dst_port=4791)
-        assert hasher.choose(ft, 8, stage="up") == wanted
+def _one_shot_digest(seed, five_tuple, stage):
+    """The payload layout, hashed in one go: the reference digest."""
+    payload = (
+        f"{seed}|{stage}|{five_tuple.src_ip}|{five_tuple.dst_ip}"
+        f"|{five_tuple.src_port}|{five_tuple.dst_port}|{five_tuple.protocol}"
+    ).encode()
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def test_find_port_invalid_wanted():
-    hasher = EcmpHasher()
-    base = FiveTuple(src_ip="a", dst_ip="b", src_port=0, dst_port=4791)
-    with pytest.raises(ValueError):
-        hasher.find_port_for_choice(base, 4, 4)
-
-
-def test_find_port_exhaustion_raises():
-    hasher = EcmpHasher(seed=0)
-    base = FiveTuple(src_ip="a", dst_ip="b", src_port=0, dst_port=4791)
-    # A port range of width 1 almost surely misses a 1-in-2^16 target.
-    with pytest.raises(LookupError):
-        hasher.find_port_for_choice(base, 1 << 16, 12345, port_range=range(50000, 50001))
+@given(
+    seed=st.integers(0, 2**32),
+    src_ip=st.text(max_size=16),
+    dst_ip=st.text(max_size=16),
+    src_port=st.integers(0, 65535),
+    dst_port=st.integers(0, 65535),
+    protocol=st.sampled_from([17, 6]),
+    stage=st.one_of(
+        st.sampled_from(["", "ephemeral", "up:3:1", "down:0:7", "bond:2:5"]),
+        st.text(max_size=12),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_hash_value_equals_primed_prefix_digest(
+    seed, src_ip, dst_ip, src_port, dst_port, protocol, stage
+):
+    hasher = EcmpHasher(seed=seed)
+    ft = FiveTuple(src_ip, dst_ip, src_port, dst_port, protocol)
+    primed = hasher.stage_hasher(src_ip, dst_ip, stage).copy()
+    primed.update(f"{src_port}|{dst_port}|{protocol}".encode())
+    expected = _one_shot_digest(seed, ft, stage)
+    assert hasher.hash_value(ft, stage) == expected
+    assert int.from_bytes(primed.digest(), "little") == expected
